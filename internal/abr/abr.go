@@ -18,14 +18,12 @@
 // exploiting the temporal stability of batch degree distributions.
 // Instrumentation runs on whichever update path is current: the
 // reordered path reads degrees from the already-clustered vertex runs
-// (nearly free), the non-reordered path populates a concurrent hash
-// map alongside the edge updates (the paper's Intel TBB map; a
-// sharded map here).
+// (nearly free), the non-reordered path sorts the batch's destination
+// keys with the reordering partitioner and reads the same run lengths
+// (the paper populates an Intel TBB concurrent map instead).
 package abr
 
 import (
-	"sync"
-
 	"streamgraph/internal/graph"
 	"streamgraph/internal/obs"
 	"streamgraph/internal/reorder"
@@ -136,25 +134,6 @@ func Decide(h *stats.Histogram, p Params) bool {
 	return CAD(h, p.Lambda) >= p.TH
 }
 
-// CollectReordered measures CAD_λ on a batch that is being updated in
-// the reordered mode: the per-vertex degree is simply each
-// destination run's length, so instrumentation is a single cheap walk
-// over the run boundaries (the paper reports 0.90x, i.e. ~10%
-// overhead, for this path).
-func CollectReordered(r *reorder.Reordered, lambda int) float64 {
-	edges, x := 0, 0
-	for _, run := range r.RunsByDst() {
-		if run.Len() > lambda {
-			edges += run.Len()
-			x++
-		}
-	}
-	if x == 0 {
-		return 0
-	}
-	return float64(edges) / float64(x)
-}
-
 // CADFromRuns measures CAD_λ from destination-run lengths recorded by
 // a reordered update engine (update.Stats.DstRunLens): each run length
 // is a vertex's intra-batch in-degree. This is the reordered-path
@@ -173,65 +152,17 @@ func CADFromRuns(lens []int, lambda int) float64 {
 	return float64(edges) / float64(x)
 }
 
-// shardCount for the concurrent degree map; power of two.
-const shardCount = 64
-
-// degreeShard is one shard of the concurrent hash map used to
-// instrument non-reordered ABR-active batches (the TBB-map stand-in).
-type degreeShard struct {
-	mu  sync.Mutex
-	deg map[graph.VertexID]int
-}
-
-// CollectConcurrent measures CAD_λ on a non-reordered batch by
-// populating a concurrent hash map with per-destination degrees in
-// parallel, then scanning the map entries. This path is the expensive
-// one (the paper reports an average 0.54x slowdown on these batches);
-// ABR amortizes it over n batches.
-//
-//sglint:pool CAD measurement workers join on wg.Wait within the call; a panic while counting degrees must crash, not yield a bogus CAD value
+// CollectConcurrent measures CAD_λ on a non-reordered batch. The paper
+// populates a concurrent hash map alongside the edge updates (0.54x on
+// these batches); here the reordering partitioner sorts the
+// destination keys alone and the run lengths of that order are the
+// per-destination degrees. The scratch is allocated per call: ABR
+// measures one batch in N, and a workload that never reorders should
+// keep nothing for it. The name and the unused workers argument are
+// the paper's; nothing here is concurrent any more.
 func CollectConcurrent(b *graph.Batch, lambda, workers int) float64 {
-	if workers < 1 {
-		workers = 1
-	}
-	var shards [shardCount]degreeShard
-	for i := range shards {
-		shards[i].deg = make(map[graph.VertexID]int)
-	}
-	var wg sync.WaitGroup
-	n := len(b.Edges)
-	chunkSize := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunkSize {
-		hi := lo + chunkSize
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(edges []graph.Edge) {
-			defer wg.Done()
-			for _, e := range edges {
-				sh := &shards[uint32(e.Dst)%shardCount]
-				sh.mu.Lock()
-				sh.deg[e.Dst]++
-				sh.mu.Unlock()
-			}
-		}(b.Edges[lo:hi])
-	}
-	wg.Wait()
-
-	edges, x := 0, 0
-	for i := range shards {
-		for _, d := range shards[i].deg {
-			if d > lambda {
-				edges += d
-				x++
-			}
-		}
-	}
-	if x == 0 {
-		return 0
-	}
-	return float64(edges) / float64(x)
+	var p reorder.Partitioner
+	return CADFromRuns(p.DstDegrees(b.Edges), lambda)
 }
 
 // MeanDegree is the D1-ablation alternative metric the paper rejects:

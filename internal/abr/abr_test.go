@@ -136,9 +136,10 @@ func TestCollectorsAgree(t *testing.T) {
 	if want == 0 {
 		t.Fatal("test batch should have a top vertex above λ")
 	}
-	r := reorder.Reorder(b, 4)
-	if got := CollectReordered(r, lambda); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("CollectReordered = %v, want %v", got, want)
+	var p reorder.Partitioner
+	p.Partition(b.Edges)
+	if got := CADFromRuns(p.DstRunLens(), lambda); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("CADFromRuns over the reordered runs = %v, want %v", got, want)
 	}
 	if got := CollectConcurrent(b, lambda, 4); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("CollectConcurrent = %v, want %v", got, want)

@@ -110,6 +110,17 @@ func (s *AdjacencyStore) SetOutUnsafe(v VertexID, ns []Neighbor) {
 	va.out = ns //sglint:ignore guardfield caller guarantees exclusive vertex access (reordered vertex-centric apply)
 }
 
+// SetOutUncounted is SetOutUnsafe without the edge-count update: a
+// run-partitioned engine sums its length deltas per worker and settles
+// them with one AddEdges per batch, not one shared atomic per run.
+func (s *AdjacencyStore) SetOutUncounted(v VertexID, ns []Neighbor) {
+	s.at(v).out = ns //sglint:ignore guardfield caller guarantees exclusive vertex access (reordered vertex-centric apply)
+}
+
+// AddEdges adjusts NumEdges by the net out-edges created through
+// SetOutUncounted.
+func (s *AdjacencyStore) AddEdges(delta int64) { s.numEdge.Add(delta) }
+
 // SetInUnsafe replaces v's in-adjacency. In-edges are mirrors of
 // out-edges and are not counted in NumEdges.
 func (s *AdjacencyStore) SetInUnsafe(v VertexID, ns []Neighbor) {

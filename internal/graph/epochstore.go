@@ -154,7 +154,7 @@ func (p *echunkPool) put(c *echunk) {
 type earena struct {
 	pool *echunkPool
 	cur  *echunk
-	coal ecoal // reusable run-coalescing table (see epochcoalesce.go)
+	coal RunCoalescer // reusable run-coalescing table
 }
 
 // alloc returns a fresh version header whose ns field is a zero-length
@@ -221,8 +221,8 @@ type EpochRunStats struct {
 	// in pass mirrors it).
 	Created, Removed int
 	// Comparisons counts neighbor entries examined by duplicate and
-	// delete searches.
-	Comparisons int64
+	// delete searches; HashOps counts coalescing-table operations.
+	Comparisons, HashOps int64
 }
 
 // EpochStore implements Mutable with wait-free snapshot readers. See
@@ -393,7 +393,6 @@ func (s *EpochStore) LatestBID(v VertexID) int32 {
 // (vertex, direction) pairs, and worker w owns arena index w
 // exclusively for this batch.
 func (s *EpochStore) ApplyRun(w int, v VertexID, out bool, edges []Edge) EpochRunStats {
-	var st EpochRunStats
 	ev := (*s.verts.Load())[v]
 	head := &ev.out
 	if !out {
@@ -414,65 +413,11 @@ func (s *EpochStore) ApplyRun(w int, v VertexID, out bool, edges []Edge) EpochRu
 	a := &s.arenas[w]
 	nv := a.alloc(s.mgr, len(curNs)+inserts)
 
-	var ns []Neighbor
-	var changed bool
-	if len(edges) >= ecoalMinRun {
-		// Long run: coalesce it into the worker's table and rebuild in
-		// O(run + degree) instead of the linear path's O(run × degree) —
-		// on skewed streams the hub's run covers most of the batch, and
-		// that product is where a lock-free design would otherwise lose
-		// to the mutex engines.
-		ns, st, changed = a.coal.applyRunCoalesced(curNs, nv.ns[:0], edges, out)
-	} else {
-		ns = nv.ns[:len(curNs)]
-		copy(ns, curNs)
-		for i := range edges {
-			e := &edges[i]
-			if e.Delete {
-				continue
-			}
-			key := e.Dst
-			if !out {
-				key = e.Src
-			}
-			found := false
-			for j := range ns {
-				st.Comparisons++
-				if ns[j].ID == key {
-					ns[j].Weight = e.Weight
-					found = true
-					changed = true
-					break
-				}
-			}
-			if !found {
-				ns = append(ns, Neighbor{ID: key, Weight: e.Weight})
-				st.Created++
-				changed = true
-			}
-		}
-		for i := range edges {
-			e := &edges[i]
-			if !e.Delete {
-				continue
-			}
-			key := e.Dst
-			if !out {
-				key = e.Src
-			}
-			for j := range ns {
-				st.Comparisons++
-				if ns[j].ID == key {
-					ns[j] = ns[len(ns)-1]
-					ns = ns[:len(ns)-1]
-					st.Removed++
-					changed = true
-					break
-				}
-			}
-		}
-	}
-
+	// Long runs are coalesced, O(run + degree) instead of the linear
+	// path's O(run × degree): on skewed streams the hub's run covers
+	// most of the batch, and that product is where a lock-free design
+	// would otherwise lose to the mutex engines.
+	ns, st, changed := a.coal.ApplyRun(curNs, nv.ns[:0], edges, out, ecoalMinRun)
 	if !changed {
 		// Pure no-op run (deletes of absent edges): keep the current
 		// version and recycle the speculative allocation with its chunk.

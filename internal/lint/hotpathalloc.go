@@ -21,8 +21,8 @@ import (
 //   - function-literal creation — closures capturing loop state box
 //     onto the heap each iteration;
 //   - make of an Edge/Neighbor slice — a per-edge adjacency buffer is
-//     an O(edges) allocation storm; carve from a batch arena (the
-//     epoch store's chunks, update.BatchArena) or hoist and reuse.
+//     an O(edges) allocation storm; carve from reusable scratch (the
+//     epoch store's chunks, reorder.Partitioner) or hoist and reuse.
 //
 // Loops outside the three hot packages, and loops not ranging over
 // Edge/Neighbor/Batch element types, are not constrained.

@@ -490,6 +490,9 @@ func (r *Runner) ProcessBatch(b *graph.Batch) BatchMetrics {
 			tr.DegreeSkew = skew
 		}
 	}
+	// The lengths alias the engine's scratch, which the next batch
+	// overwrites: the retained metrics must not hold on to them.
+	bm.Stats.DstRunLens = nil
 
 	// Shadow adaptive store: replay the batch into the live replica and
 	// feed its migration controller the profile this pipeline already
@@ -728,8 +731,8 @@ func (r *Runner) processSoftware(b *graph.Batch, bm *BatchMetrics, tr *obs.Batch
 	}
 	if active {
 		// Instrumentation overlapped with the update: the reordered
-		// path reads run lengths; the non-reordered path pays the
-		// concurrent-hash-map pass.
+		// path reads run lengths; the non-reordered path pays a sort
+		// of the destination keys for the same lengths.
 		instrSpan := updateSpan.StartChild("abr_instrument")
 		var cad float64
 		if reorderNow {
@@ -740,6 +743,13 @@ func (r *Runner) processSoftware(b *graph.Batch, bm *BatchMetrics, tr *obs.Batch
 		instrSpan.End()
 		r.controller.Report(cad)
 		bm.CAD = cad
+		if reorderNow && !r.controller.Reordering() {
+			// ABR left the reordered path, possibly for good: start the
+			// engines over so that an idle one keeps no batch-sized
+			// scratch. The next reordered batch grows it again.
+			r.roEng = &update.Reordered{Cfg: r.roEng.Cfg}
+			r.uscEng = &update.Reordered{Cfg: r.uscEng.Cfg, USC: true}
+		}
 	}
 	bm.Update = time.Since(start)
 	// The engine reports its reorder sort as a duration; promote it to

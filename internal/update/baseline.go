@@ -1,6 +1,7 @@
 package update
 
 import (
+	"slices"
 	"time"
 
 	"streamgraph/internal/graph"
@@ -26,25 +27,28 @@ func (e *Baseline) Apply(s *graph.AdjacencyStore, b *graph.Batch) Stats {
 	var st Stats
 	bid := int32(b.ID)
 	s.EnsureVertices(int(b.MaxVertex()) + 1)
-	inserts, deletes := b.Split()
 	workers := e.Cfg.workers()
 
-	parallelChunks(len(inserts), workers, &st, func(lo, hi int, w *workerStats) {
-		for _, edge := range inserts[lo:hi] {
-			insertLocked(s, edge, w)
-			w.touch(s, edge.Src, bid)
-			w.touch(s, edge.Dst, bid)
-			w.edges++
-		}
-	})
-	parallelChunks(len(deletes), workers, &st, func(lo, hi int, w *workerStats) {
-		for _, edge := range deletes[lo:hi] {
-			deleteLocked(s, edge, w)
-			w.touch(s, edge.Src, bid)
-			w.touch(s, edge.Dst, bid)
-			w.edges++
-		}
-	})
+	// All insertions apply before any deletion. Each pass walks the
+	// batch where it lies and skips the other kind, so nothing is
+	// copied; an insert-only batch has no second pass.
+	pass := func(deletes bool, apply func(*graph.AdjacencyStore, graph.Edge, *workerStats)) {
+		parallelChunks(len(b.Edges), workers, &st, func(lo, hi int, w *workerStats) {
+			for _, edge := range b.Edges[lo:hi] {
+				if edge.Delete != deletes {
+					continue
+				}
+				apply(s, edge, w)
+				w.touch(s, edge.Src, bid)
+				w.touch(s, edge.Dst, bid)
+				w.edges++
+			}
+		})
+	}
+	pass(false, insertLocked)
+	if slices.ContainsFunc(b.Edges, func(edge graph.Edge) bool { return edge.Delete }) {
+		pass(true, deleteLocked)
+	}
 
 	st.Update = time.Since(start)
 	st.Total = st.Update

@@ -1,13 +1,15 @@
 package update_test
 
-// Allocation-regression gates for the lock-free ingest path. The
-// tentpole claim is zero allocations per edge end-to-end once the
-// engine is warm: the arena's counting sort reuses its buffers, the
-// store's chunk pool recycles version memory batch-over-batch (with no
-// pinned readers a batch's retired chunks are reclaimable by its own
-// FinishBatch), and nothing on the per-edge path boxes, closes over,
-// or appends. These tests pin that down dynamically; sglint's
-// hotpathalloc analyzer polices the same property statically.
+// Allocation-regression gates for the run-partitioned ingest paths.
+// The claim is zero allocations per edge end-to-end once an engine is
+// warm: the shared partitioner reuses its buffers (gated on its own in
+// internal/reorder), the epoch store's chunk pool recycles version
+// memory batch-over-batch (with no pinned readers a batch's retired
+// chunks are reclaimable by its own FinishBatch), the RO/USC engine's
+// per-worker coalescing tables only grow, and nothing on the per-edge
+// path boxes, closes over, or appends. These tests pin that down
+// dynamically; sglint's hotpathalloc analyzer polices the same
+// property statically.
 
 import (
 	"runtime"
@@ -19,8 +21,8 @@ import (
 )
 
 // warmEpoch returns a store and engine in steady state: the stream
-// has been applied once, so the vertex table, arena buffers and chunk
-// pool have all reached their working sizes.
+// has been applied once, so the vertex table, partitioner buffers and
+// chunk pool have all reached their working sizes.
 func warmEpoch(workers int) (*graph.EpochStore, *update.EpochEngine, []*graph.Batch) {
 	spec := gen.AdvSpec{Kind: gen.AdvMixed, Seed: 7, Vertices: 1024, BatchSize: 2048, Batches: 6}
 	batches := spec.Generate()
@@ -38,6 +40,13 @@ func warmEpoch(workers int) (*graph.EpochStore, *update.EpochEngine, []*graph.Ba
 func TestEpochIngestZeroAlloc(t *testing.T) {
 	st, eng, batches := warmEpoch(1)
 	b := batches[len(batches)-1]
+	// Replaying one batch has a chunk working set of its own, reached a
+	// few replays in; AllocsPerRun truncates its average, so a stray
+	// chunk or two would pass or fail by luck.
+	for misses := int64(-1); misses != st.PoolMisses(); {
+		misses = st.PoolMisses()
+		eng.Apply(st, b)
+	}
 	runtime.GC()
 	allocs := testing.AllocsPerRun(10, func() {
 		eng.Apply(st, b)
@@ -62,5 +71,28 @@ func TestEpochIngestParallelAllocBound(t *testing.T) {
 	if perEdge >= 0.05 {
 		t.Fatalf("parallel epoch ingest: %v allocs/batch = %v allocs/edge (%d edges), want < 0.05",
 			allocs, perEdge, b.Size())
+	}
+}
+
+// TestReorderedUSCIngestZeroAlloc: the warmed single-worker RO+USC
+// engine allocates nothing of its own. Replaying a batch the store
+// already holds only rewrites weights, so no adjacency list grows
+// either and the count is the engine's alone.
+func TestReorderedUSCIngestZeroAlloc(t *testing.T) {
+	spec := gen.AdvSpec{Kind: gen.AdvMixed, Seed: 7, Vertices: 1024, BatchSize: 2048, Batches: 6}
+	batches := spec.Generate()
+	st := graph.NewAdjacencyStore(1024)
+	eng := &update.Reordered{Cfg: update.Config{Workers: 1, CollectDstRuns: true}, USC: true}
+	for _, b := range batches {
+		eng.Apply(st, b)
+	}
+	b := batches[0] // insert-only (the skewed family): a replay creates nothing
+	eng.Apply(st, b)
+	runtime.GC()
+	allocs := testing.AllocsPerRun(10, func() {
+		eng.Apply(st, b)
+	})
+	if allocs != 0 {
+		t.Fatalf("single-worker ro+usc ingest: %v allocs per batch (%d edges), want 0", allocs, b.Size())
 	}
 }

@@ -1,20 +1,50 @@
 package update
 
 import (
+	"math"
 	"time"
 
 	"streamgraph/internal/graph"
 	"streamgraph/internal/reorder"
 )
 
-// Reordered is the RO update engine: it pays for two parallel stable
+// Reordered is the RO update engine: it pays for two stable radix
 // sorts of the batch (by source and by destination) and in exchange
 // applies all updates lock-free, one vertex run per thread. With USC
 // enabled it additionally coalesces each run's duplicate-check
 // searches into a single scan of the vertex's edge data (Section 4.3).
+//
+// The zero value of the scratch is ready: the partitioner and the
+// per-worker coalescing tables size themselves on first use and are
+// kept, so a warmed engine allocates only what the adjacency lists
+// grow by. What it keeps is O(batch). An engine serves one Apply at a
+// time.
 type Reordered struct {
 	Cfg Config
 	USC bool
+
+	part reorder.Partitioner
+	run  []runWorker
+}
+
+// runWorker is one worker's state across a batch's two passes, for
+// both run-partitioned engines.
+type runWorker struct {
+	ws    workerStats
+	delta int64              // net out-edges created
+	coal  graph.RunCoalescer // adjacency-store runs; the epoch store's arenas have their own
+}
+
+// settle folds the workers' counters into st, returns the batch's net
+// edge delta, and leaves the workers ready for the next batch.
+func settle(run []runWorker, st *Stats) (delta int64) {
+	for i := range run {
+		w := &run[i]
+		st.add(&w.ws)
+		delta += w.delta
+		w.ws, w.delta = workerStats{}, 0
+	}
+	return delta
 }
 
 // Name implements Engine.
@@ -28,174 +58,69 @@ func (e *Reordered) Name() string {
 // Apply implements Engine.
 func (e *Reordered) Apply(s *graph.AdjacencyStore, b *graph.Batch) Stats {
 	start := time.Now()
-	var st Stats
+	st := Stats{EdgesApplied: int64(len(b.Edges))}
 	bid := int32(b.ID)
 	s.EnsureVertices(int(b.MaxVertex()) + 1)
 	workers := e.Cfg.workers()
+	if len(e.run) < workers {
+		e.run = make([]runWorker, workers)
+	}
 
-	r := reorder.Reorder(b, workers)
+	e.part.Partition(b.Edges)
 	st.Sort = time.Since(start)
 
 	updStart := time.Now()
 	// Pass 1: out-edges, clustered by source.
-	parallelRuns(r.RunsBySrc(), workers, &st, func(run reorder.Run, w *workerStats) {
-		e.applyRun(s, r.BySrc[run.Lo:run.Hi], run.V, true, bid, w)
-	})
-	// Pass 2: in-edges, clustered by destination.
-	dstRuns := r.RunsByDst()
+	e.applyPass(s, e.part.RunsSrc, e.part.BySrc, true, bid, workers)
 	if e.Cfg.CollectDstRuns {
-		st.DstRunLens = make([]int, len(dstRuns))
-		for i, run := range dstRuns {
-			st.DstRunLens[i] = run.Len()
-		}
+		st.DstRunLens = e.part.DstRunLens()
 	}
-	parallelRuns(dstRuns, workers, &st, func(run reorder.Run, w *workerStats) {
-		e.applyRun(s, r.ByDst[run.Lo:run.Hi], run.V, false, bid, w)
-	})
+	// Pass 2: in-edges, clustered by destination.
+	e.applyPass(s, e.part.RunsDst, e.part.ByDst, false, bid, workers)
+	s.AddEdges(settle(e.run, &st))
 	st.Update = time.Since(updStart)
 	st.Total = time.Since(start)
-	// Each edge was visited by both passes; report it once.
-	st.EdgesApplied /= 2
 	e.Cfg.observe(e.Name(), &st)
 	return st
 }
 
-// applyRun ingests one vertex run. v is the run's owner; out selects
-// the adjacency direction (true: v's out-list keyed by Dst, false:
-// v's in-list keyed by Src). The caller guarantees this goroutine is
-// the only one touching v's adjacency in this pass.
-func (e *Reordered) applyRun(s *graph.AdjacencyStore, edges []graph.Edge, v graph.VertexID, out bool, bid int32, w *workerStats) {
-	if e.USC && len(edges) >= e.Cfg.minCoalesce() {
-		e.applyRunCoalesced(s, edges, v, out, bid, w)
+// applyPass applies one view's runs: inline for a single worker (the
+// allocation-free path), over the run queue otherwise.
+func (e *Reordered) applyPass(s *graph.AdjacencyStore, runs []reorder.Run, view []graph.Edge, out bool, bid int32, workers int) {
+	if workers == 1 {
+		e.applyRuns(s, &e.run[0], runs, view, out, bid)
 		return
 	}
-	// Plain RO: per-edge linear search, but no locks. Insertions
-	// first, then deletions (the global update-ordering policy).
-	for _, edge := range edges {
-		if edge.Delete {
-			continue
-		}
-		key := runKey(edge, out)
-		list := adjOf(s, v, out)
-		found := false
-		for i := range list {
-			w.comparisons++
-			if list[i].ID == key {
-				list[i].Weight = edge.Weight
-				found = true
-				break
-			}
-		}
-		if !found {
-			appendAdj(s, v, out, graph.Neighbor{ID: key, Weight: edge.Weight})
-		}
-		w.touch(s, edge.Src, bid)
-		w.touch(s, edge.Dst, bid)
-		w.edges++
-	}
-	for _, edge := range edges {
-		if !edge.Delete {
-			continue
-		}
-		key := runKey(edge, out)
-		list := adjOf(s, v, out)
-		for i := range list {
-			w.comparisons++
-			if list[i].ID == key {
-				list[i] = list[len(list)-1]
-				setAdj(s, v, out, list[:len(list)-1])
-				break
-			}
-		}
-		w.touch(s, edge.Src, bid)
-		w.touch(s, edge.Dst, bid)
-		w.edges++
-	}
+	parallelRuns(len(runs), workers, func(k, lo, hi int) {
+		e.applyRuns(s, &e.run[k], runs[lo:hi], view, out, bid)
+	})
 }
 
-// applyRunCoalesced is USC: populate a hash table with the run's
-// targets, scan v's edge data once, update matches in place, and
-// append the remainder.
-func (e *Reordered) applyRunCoalesced(s *graph.AdjacencyStore, edges []graph.Edge, v graph.VertexID, out bool, bid int32, w *workerStats) {
-	ins := make(map[graph.VertexID]graph.Weight, len(edges))
-	var del map[graph.VertexID]struct{}
-	for _, edge := range edges {
-		key := runKey(edge, out)
-		if edge.Delete {
-			if del == nil {
-				//sglint:ignore hotpathalloc lazy one-time allocation: runs at most once per run and only when the batch deletes; hoisting would charge every insert-only run
-				del = make(map[graph.VertexID]struct{})
-			}
-			del[key] = struct{}{}
+// applyRuns ingests vertex runs into their owners' adjacency: the
+// out-list keyed by Dst when out is set, the in-list keyed by Src
+// otherwise. The run partition makes this goroutine the only one
+// touching an owner's list in this pass. Every vertex of the batch
+// owns a run in one of the two passes, so touching owners alone
+// maintains latest_bid for all of them.
+func (e *Reordered) applyRuns(s *graph.AdjacencyStore, w *runWorker, runs []reorder.Run, view []graph.Edge, out bool, bid int32) {
+	minCoalesce := math.MaxInt // plain RO: per-edge linear search, but no locks
+	if e.USC {
+		minCoalesce = e.Cfg.minCoalesce()
+	}
+	for _, run := range runs {
+		list := s.InUnsafe(run.V)
+		if out {
+			list = s.OutUnsafe(run.V)
+		}
+		ns, rs, _ := w.coal.ApplyRunInPlace(list, view[run.Lo:run.Hi], out, minCoalesce)
+		if out {
+			s.SetOutUncounted(run.V, ns)
+			w.delta += int64(rs.Created - rs.Removed)
 		} else {
-			ins[key] = edge.Weight // last writer in batch order wins
+			s.SetInUnsafe(run.V, ns)
 		}
-		w.hashOps++
-		w.touch(s, edge.Src, bid)
-		w.touch(s, edge.Dst, bid)
-		w.edges++
+		w.ws.comparisons += rs.Comparisons
+		w.ws.hashOps += rs.HashOps
+		w.ws.touch(s, run.V, bid)
 	}
-	// The update-ordering policy applies every insertion before any
-	// deletion, so a key that is both inserted and deleted in this
-	// batch ends up deleted.
-	for key := range del {
-		delete(ins, key)
-	}
-
-	// Single scan: update duplicates, drop deletions, keep the rest.
-	list := adjOf(s, v, out)
-	kept := 0
-	for i := range list {
-		w.comparisons++
-		if _, drop := del[list[i].ID]; drop {
-			w.hashOps++
-			continue
-		}
-		if weight, ok := ins[list[i].ID]; ok {
-			w.hashOps++
-			list[i].Weight = weight
-			delete(ins, list[i].ID)
-		}
-		list[kept] = list[i]
-		kept++
-	}
-	list = list[:kept]
-	// Non-matching targets are fresh edges: insert at the end.
-	for key, weight := range ins {
-		w.hashOps++
-		list = append(list, graph.Neighbor{ID: key, Weight: weight})
-	}
-	setAdj(s, v, out, list)
-}
-
-// runKey returns the neighbor ID an edge contributes to v's adjacency
-// in the given direction.
-func runKey(e graph.Edge, out bool) graph.VertexID {
-	if out {
-		return e.Dst
-	}
-	return e.Src
-}
-
-func adjOf(s *graph.AdjacencyStore, v graph.VertexID, out bool) []graph.Neighbor {
-	if out {
-		return s.OutUnsafe(v)
-	}
-	return s.InUnsafe(v)
-}
-
-func setAdj(s *graph.AdjacencyStore, v graph.VertexID, out bool, ns []graph.Neighbor) {
-	if out {
-		s.SetOutUnsafe(v, ns)
-		return
-	}
-	s.SetInUnsafe(v, ns)
-}
-
-func appendAdj(s *graph.AdjacencyStore, v graph.VertexID, out bool, n graph.Neighbor) {
-	if out {
-		s.AppendOutUnsafe(v, n)
-		return
-	}
-	s.AppendInUnsafe(v, n)
 }

@@ -4,8 +4,8 @@
 //   - Baseline: edge-parallel ingestion with per-vertex locks and a
 //     linear duplicate-check search per edge (Section 3.2's baseline).
 //   - Reordered (RO): lock-free vertex-centric ingestion over a batch
-//     reordered by internal/reorder; pays two parallel stable sorts
-//     and two update passes (out-edges by source, in-edges by
+//     reordered by internal/reorder; pays two stable radix sorts and
+//     two update passes (out-edges by source, in-edges by
 //     destination).
 //   - Reordered+USC: RO plus update search coalescing — one scan of a
 //     vertex's edge data serves all of that vertex's incoming updates
@@ -27,7 +27,6 @@ import (
 
 	"streamgraph/internal/graph"
 	"streamgraph/internal/obs"
-	"streamgraph/internal/reorder"
 )
 
 // Stats describes one batch update: where the time went and how much
@@ -184,33 +183,37 @@ func parallelChunks(n, workers int, st *Stats, fn func(lo, hi int, w *workerStat
 	}
 }
 
-// parallelRuns dynamically schedules whole vertex runs across workers
-// (the RO work division: one thread owns all of a vertex's edges).
-func parallelRuns(runs []reorder.Run, workers int, st *Stats, fn func(r reorder.Run, w *workerStats)) {
-	if len(runs) == 0 {
+// runChunk is how many vertex runs a worker claims per grab: small
+// enough that a batch has hundreds of chunks to balance a hub's long
+// run against, large enough that the shared cursor is not hit per run.
+const runChunk = 32
+
+// parallelRuns dynamically schedules n vertex runs across workers in
+// chunks (the RO work division: one thread owns all of a vertex's
+// edges) and joins them. fn receives the worker's index and a run
+// range; worker indices are dense from 0.
+func parallelRuns(n, workers int, fn func(k, lo, hi int)) {
+	if chunks := (n + runChunk - 1) / runChunk; workers > chunks {
+		workers = chunks
+	}
+	if workers <= 1 {
+		fn(0, 0, n) // a batch this small is not worth a goroutine
 		return
 	}
-	if workers > len(runs) {
-		workers = len(runs)
-	}
 	var next atomic.Int64
-	locals := make([]workerStats, workers)
 	var wg sync.WaitGroup
 	for k := 0; k < workers; k++ {
 		wg.Add(1)
-		go func(w *workerStats) {
+		go func(k int) {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(runs) {
+				lo := int(next.Add(runChunk)) - runChunk
+				if lo >= n {
 					return
 				}
-				fn(runs[i], w)
+				fn(k, lo, min(lo+runChunk, n))
 			}
-		}(&locals[k])
+		}(k)
 	}
 	wg.Wait()
-	for i := range locals {
-		st.add(&locals[i])
-	}
 }

@@ -13,7 +13,7 @@
 #   14 go build   15 go test -race   16 stress soak
 #   17 bench trajectory   18 baseline preflight   19 bench store
 #   20 sglint json   21 lint budget   22 bench lockfree
-#   23 epoch torture   24 shard oracle
+#   23 epoch torture   24 shard oracle   25 benchmark self-test
 #
 # The baseline preflight (18) validates the committed BENCH_*.json
 # gate baselines (existence, JSON, schema version) BEFORE the bench
@@ -126,6 +126,17 @@ echo "== shard oracle =="
 # sequential reference. CI's shard-matrix job runs N=1/2/4.
 SHARDS=2 go test -race -count=1 -run '^TestShardMatrixDifferential$' ./internal/oracle
 record "shard oracle" $? 24
+
+echo "== benchmark self-test =="
+# The repository benchmark is a module of its own, so the gates above
+# never run its unit tests (oracle gate, percentiles, open-loop
+# scheduler). Run them, then smoke one workload for 2 seconds and judge
+# only the verdict line: output correct, no operation failed. Timings
+# of a 2-second run mean nothing and are not read.
+(cd benchmark && go vet ./... && go test -count=1 ./...) &&
+    bash benchmark/run.sh --workload hub-ingest --seconds 2 | tail -n 1 |
+    grep -q '"correct":true,"attempted":[0-9]*,"failed":0,'
+record "benchmark self-test" $? 25
 
 echo "== baseline preflight =="
 go run ./cmd/sgbench -validate-baselines
