@@ -29,6 +29,7 @@ type BFS struct {
 
 	// level holds hop counts (int32), -1 meaning unreached.
 	level []atomic.Int32
+	front frontier
 }
 
 // unreached marks vertices with no path from the source.
@@ -61,13 +62,6 @@ func (b *BFS) Levels() []int32 {
 		out[i] = b.level[i].Load()
 	}
 	return out
-}
-
-func (b *BFS) maxIter() int {
-	if b.MaxIter > 0 {
-		return b.MaxIter
-	}
-	return 10000
 }
 
 func (b *BFS) ensure(n int) {
@@ -155,34 +149,17 @@ func (b *BFS) recompute(g graph.Store, m *Metrics) {
 
 func (b *BFS) propagate(g graph.Store, frontier []graph.VertexID, m *Metrics) {
 	w := workers(b.Workers)
-	inNext := make([]atomic.Bool, len(b.level))
-	locals := make([][]graph.VertexID, w)
-	for iter := 0; iter < b.maxIter() && len(frontier) > 0; iter++ {
-		m.Iterations++
-		m.VerticesProcessed += int64(len(frontier))
-		for i := range locals {
-			locals[i] = locals[i][:0]
-		}
-		parallelVerts(frontier, w, func(v graph.VertexID, wid int) {
-			lv := b.level[v].Load()
-			local := int64(0)
-			g.ForEachOut(v, func(nb graph.Neighbor) {
-				local++
-				if b.relaxMin(nb.ID, lv+1) {
-					if !inNext[nb.ID].Swap(true) {
-						locals[wid] = append(locals[wid], nb.ID)
-					}
-				}
-			})
-			atomic.AddInt64(&m.EdgesTraversed, local)
+	b.front.begin(len(b.level), w)
+	b.front.levels(frontier, w, orDefault(b.MaxIter, 10000), m, func(v graph.VertexID, wid int, shared bool) {
+		lv := b.level[v].Load()
+		local := int64(0)
+		g.ForEachOut(v, func(nb graph.Neighbor) {
+			local++
+			if b.relaxMin(nb.ID, lv+1) {
+				b.front.add(nb.ID, wid, shared)
+			}
 		})
-		var next []graph.VertexID
-		for _, l := range locals {
-			next = append(next, l...)
-		}
-		for _, v := range next {
-			inNext[v].Store(false)
-		}
-		frontier = next
-	}
+		atomic.AddInt64(&m.EdgesTraversed, local)
+	})
+	b.front.end()
 }

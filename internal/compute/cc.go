@@ -26,6 +26,7 @@ type CC struct {
 
 	// label holds component labels (uint32), accessed atomically.
 	label []atomic.Uint32
+	front frontier
 }
 
 // Name implements Engine.
@@ -66,13 +67,6 @@ func (c *CC) Components(g graph.Store) int {
 		}
 	}
 	return len(seen)
-}
-
-func (c *CC) maxIter() int {
-	if c.MaxIter > 0 {
-		return c.MaxIter
-	}
-	return 10000
 }
 
 func (c *CC) ensure(n int) {
@@ -149,44 +143,25 @@ func (c *CC) recompute(g graph.Store, m *Metrics) {
 // no label changes.
 func (c *CC) propagate(g graph.Store, frontier []graph.VertexID, m *Metrics) {
 	w := workers(c.Workers)
-	inNext := make([]atomic.Bool, len(c.label))
-	locals := make([][]graph.VertexID, w)
-	for iter := 0; iter < c.maxIter() && len(frontier) > 0; iter++ {
-		m.Iterations++
-		m.VerticesProcessed += int64(len(frontier))
-		for i := range locals {
-			locals[i] = locals[i][:0]
-		}
-		parallelVerts(frontier, w, func(v graph.VertexID, wid int) {
-			lv := c.label[v].Load()
-			local := int64(0)
-			visit := func(nb graph.Neighbor) {
-				local++
-				if c.relaxMin(nb.ID, lv) {
-					if !inNext[nb.ID].Swap(true) {
-						locals[wid] = append(locals[wid], nb.ID)
-					}
-				} else if other := c.label[nb.ID].Load(); other < lv {
-					// The neighbor has the smaller label: pull it.
-					if c.relaxMin(v, other) {
-						lv = c.label[v].Load()
-						if !inNext[v].Swap(true) {
-							locals[wid] = append(locals[wid], v)
-						}
-					}
+	c.front.begin(len(c.label), w)
+	c.front.levels(frontier, w, orDefault(c.MaxIter, 10000), m, func(v graph.VertexID, wid int, shared bool) {
+		lv := c.label[v].Load()
+		local := int64(0)
+		visit := func(nb graph.Neighbor) {
+			local++
+			if c.relaxMin(nb.ID, lv) {
+				c.front.add(nb.ID, wid, shared)
+			} else if other := c.label[nb.ID].Load(); other < lv {
+				// The neighbor has the smaller label: pull it.
+				if c.relaxMin(v, other) {
+					lv = c.label[v].Load()
+					c.front.add(v, wid, shared)
 				}
 			}
-			g.ForEachOut(v, visit)
-			g.ForEachIn(v, visit)
-			atomic.AddInt64(&m.EdgesTraversed, local)
-		})
-		var next []graph.VertexID
-		for _, l := range locals {
-			next = append(next, l...)
 		}
-		for _, v := range next {
-			inNext[v].Store(false)
-		}
-		frontier = next
-	}
+		g.ForEachOut(v, visit)
+		g.ForEachIn(v, visit)
+		atomic.AddInt64(&m.EdgesTraversed, local)
+	})
+	c.front.end()
 }

@@ -42,7 +42,8 @@ type SSSP struct {
 
 	// dist holds float64 bits accessed atomically (relaxations race
 	// benignly through CAS-min).
-	dist []uint64
+	dist  []uint64
+	front frontier
 }
 
 // Name implements Engine.
@@ -71,13 +72,6 @@ func (s *SSSP) Distances() []float64 {
 		out[i] = math.Float64frombits(atomic.LoadUint64(&s.dist[i]))
 	}
 	return out
-}
-
-func (s *SSSP) maxIter() int {
-	if s.MaxIter > 0 {
-		return s.MaxIter
-	}
-	return 10000
 }
 
 func (s *SSSP) ensure(n int) {
@@ -197,34 +191,17 @@ func (s *SSSP) recompute(g graph.Store, m *Metrics) {
 // propagate runs frontier relaxation rounds until no distance changes.
 func (s *SSSP) propagate(g graph.Store, frontier []graph.VertexID, m *Metrics) {
 	w := workers(s.Workers)
-	inNext := make([]atomic.Bool, len(s.dist))
-	locals := make([][]graph.VertexID, w)
-	for iter := 0; iter < s.maxIter() && len(frontier) > 0; iter++ {
-		m.Iterations++
-		m.VerticesProcessed += int64(len(frontier))
-		for i := range locals {
-			locals[i] = locals[i][:0]
-		}
-		parallelVerts(frontier, w, func(v graph.VertexID, wid int) {
-			dv := s.get(v)
-			local := int64(0)
-			g.ForEachOut(v, func(nb graph.Neighbor) {
-				local++
-				if s.relaxMin(nb.ID, dv+float64(nb.Weight)) {
-					if !inNext[nb.ID].Swap(true) {
-						locals[wid] = append(locals[wid], nb.ID)
-					}
-				}
-			})
-			atomic.AddInt64(&m.EdgesTraversed, local)
+	s.front.begin(len(s.dist), w)
+	s.front.levels(frontier, w, orDefault(s.MaxIter, 10000), m, func(v graph.VertexID, wid int, shared bool) {
+		dv := s.get(v)
+		local := int64(0)
+		g.ForEachOut(v, func(nb graph.Neighbor) {
+			local++
+			if s.relaxMin(nb.ID, dv+float64(nb.Weight)) {
+				s.front.add(nb.ID, wid, shared)
+			}
 		})
-		var next []graph.VertexID
-		for _, l := range locals {
-			next = append(next, l...)
-		}
-		for _, v := range next {
-			inNext[v].Store(false)
-		}
-		frontier = next
-	}
+		atomic.AddInt64(&m.EdgesTraversed, local)
+	})
+	s.front.end()
 }

@@ -106,13 +106,19 @@ func advWeight(src, dst graph.VertexID, bid int) graph.Weight {
 // stateful (live-edge tracking for deletions) but fully determined by
 // the spec.
 func (sp AdvSpec) Generate() []*graph.Batch {
+	out, _ := sp.generate()
+	return out
+}
+
+// generate also returns the generator, whose live list a test compares.
+func (sp AdvSpec) generate() ([]*graph.Batch, *advGen) {
 	rng := rand.New(rand.NewSource(sp.Seed))
 	g := &advGen{spec: sp, rng: rng, liveIdx: make(map[[2]graph.VertexID]int)}
 	out := make([]*graph.Batch, sp.Batches)
 	for i := range out {
 		out[i] = g.nextBatch(i)
 	}
-	return out
+	return out, g
 }
 
 type advGen struct {
@@ -249,15 +255,13 @@ func (g *advGen) nextBatch(bid int) *graph.Batch {
 			}
 		}
 		// A key both inserted and deleted in this batch ends deleted
-		// (deletions run last); reconcile the live set accordingly.
-		deleted := make(map[[2]graph.VertexID]bool)
+		// (deletions run last); reconcile the live set accordingly, in
+		// batch order so the live list's order is a function of the
+		// spec.
 		for _, e := range b.Edges {
 			if e.Delete {
-				deleted[[2]graph.VertexID{e.Src, e.Dst}] = true
+				g.unrecord([2]graph.VertexID{e.Src, e.Dst})
 			}
-		}
-		for k := range deleted {
-			g.unrecord(k)
 		}
 	}
 	return b

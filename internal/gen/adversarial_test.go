@@ -6,10 +6,15 @@ import (
 	"streamgraph/internal/graph"
 )
 
+// TestAdvSpecDeterministic: two generations from one spec agree on
+// every batch and on the live-edge list, in order, that the next
+// deletions draw from. Twelve batches let a mixed stream delete live
+// edges after a duplicate-heavy batch reconciled its deletions.
 func TestAdvSpecDeterministic(t *testing.T) {
 	for _, kind := range AdvKinds() {
-		spec := AdvSpec{Kind: kind, Seed: 11, Vertices: 128, BatchSize: 200, Batches: 5}
-		a, b := spec.Generate(), spec.Generate()
+		spec := AdvSpec{Kind: kind, Seed: 11, Vertices: 128, BatchSize: 200, Batches: 12}
+		a, ga := spec.generate()
+		b, gb := spec.generate()
 		if len(a) != len(b) {
 			t.Fatalf("%v: batch counts differ", kind)
 		}
@@ -25,6 +30,14 @@ func TestAdvSpecDeterministic(t *testing.T) {
 					t.Fatalf("%v: batch %d edge %d differs: %v vs %v",
 						kind, i, j, a[i].Edges[j], b[i].Edges[j])
 				}
+			}
+		}
+		if len(ga.live) != len(gb.live) {
+			t.Fatalf("%v: live sets differ in size: %d vs %d", kind, len(ga.live), len(gb.live))
+		}
+		for i := range ga.live {
+			if ga.live[i] != gb.live[i] {
+				t.Fatalf("%v: live list differs at %d: %v vs %v", kind, i, ga.live[i], gb.live[i])
 			}
 		}
 	}

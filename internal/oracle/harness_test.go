@@ -8,6 +8,8 @@ import (
 	"streamgraph/internal/compute"
 	"streamgraph/internal/gen"
 	"streamgraph/internal/graph"
+	"streamgraph/internal/pipeline"
+	"streamgraph/internal/shard"
 	"streamgraph/internal/update"
 )
 
@@ -75,6 +77,40 @@ func TestDifferentialProfileStream(t *testing.T) {
 	}
 	err = RunStream(batches, Matrix(p.Vertices, 4), Options{
 		Context: `profile "talk" seed 99, delete fraction 0.15, 3x2000-edge batches`,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDifferentialSuperuserDeletes replays the serving benchmark's
+// input shape — the superuser profile with 10% deletions in 1 000-edge
+// batches — through the facade's engine paths (the ABR pipeline,
+// RO+USC, a two-shard router), checking the graph every fifth batch
+// and incremental PageRank, as the facade builds it, after every batch.
+// Its hub sources keep gaining and losing out-edges, which is the input
+// that breaks an incremental PageRank blind to out-degree changes.
+func TestDifferentialSuperuserDeletes(t *testing.T) {
+	p, err := gen.ProfileByName("superuser")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := gen.NewStreamSeed(p, 1)
+	s.SetDeleteFraction(0.1)
+	batches := make([]*graph.Batch, 20)
+	for i := range batches {
+		batches[i] = s.NextBatch(1000)
+	}
+	sharded, _ := ShardedTarget("sharded/n=2", 2, p.Vertices, 2, shard.Policy{Disabled: true})
+	err = RunStream(batches, []*Target{
+		MutableTarget("mutable/adjlist", graph.NewAdjacencyStore(p.Vertices)),
+		EngineTarget("ro+usc/adjlist", &update.Reordered{Cfg: update.Config{Workers: 2}, USC: true}, p.Vertices),
+		PipelineTarget("pipeline/abr+usc", pipeline.Config{Policy: pipeline.ABRUSC, Workers: 2}, p.Vertices),
+		sharded,
+	}, Options{
+		Context:    `profile "superuser" seed 1, delete fraction 0.1, 20x1000-edge batches`,
+		Computes:   []func() compute.Engine{func() compute.Engine { return &compute.PageRank{Incremental: true} }},
+		CheckEvery: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
