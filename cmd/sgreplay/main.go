@@ -7,7 +7,7 @@
 //
 //	sggen -dataset wiki -edges 500000 -format binary > wiki.sgedge
 //	sgreplay -batch 10000 -policy adaptive < wiki.sgedge
-//	sgreplay -batch 10000 -policy adaptive -autotune -analytics pagerank < wiki.sgedge
+//	sgreplay -batch 10000 -policy reorder -analytics pagerank < wiki.sgedge
 package main
 
 import (
@@ -29,7 +29,6 @@ func main() {
 		policy    = flag.String("policy", "adaptive", "adaptive | baseline | reorder")
 		analytics = flag.String("analytics", "none", "none | pagerank | sssp")
 		source    = flag.Uint("source", 0, "SSSP source vertex")
-		autotune  = flag.Bool("autotune", false, "enable ABR online feedback tuning")
 		useOCA    = flag.Bool("oca", false, "enable compute aggregation")
 		workers   = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	)
@@ -41,8 +40,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := pipeline.Config{Workers: *workers, AutoTune: *autotune,
-		OCA: oca.Config{Disabled: !*useOCA}}
+	cfg := pipeline.Config{Workers: *workers, OCA: oca.Config{Disabled: !*useOCA}}
 	switch *policy {
 	case "adaptive":
 		cfg.Policy = pipeline.ABRUSC
@@ -90,10 +88,6 @@ func main() {
 	runner.Finish()
 
 	m := runner.Metrics()
-	fmt.Printf("\ntotal: %d batches, update %.3fs, compute %.3fs",
+	fmt.Printf("\ntotal: %d batches, update %.3fs, compute %.3fs\n",
 		len(m.Batches), m.UpdateSeconds(), m.ComputeSeconds())
-	if *autotune {
-		fmt.Printf(", tuned TH %.0f", runner.TunedParams().TH)
-	}
-	fmt.Println()
 }

@@ -67,7 +67,7 @@ func main() {
 		queue        = flag.Int("queue", 64, "admission queue depth (excess batches get 429)")
 		queueTimeout = flag.Duration("queue-timeout", 10*time.Second, "max wait for the system before 503")
 		shedSkip     = flag.Float64("shed-skip", 0.5, "queue pressure [0,1] above which compute rounds are deferred (0 disables the ladder)")
-		shedForce    = flag.Float64("shed-force", 0.85, "queue pressure [0,1] above which updates fall back to the cheapest engine")
+		shedForce    = flag.Float64("shed-force", 0.85, "queue pressure [0,1] above which updates fall back to the locked baseline engine")
 		faultProfile = flag.String("fault", "off", "fault injection profile for robustness drills (off|latency|stall|panic|mixed)")
 		faultSeed    = flag.Int64("fault-seed", 1, "fault jitter seed (with -fault)")
 		maxEdges     = flag.Int("max-batch-edges", 1<<20, "reject larger batches with 400")

@@ -21,8 +21,10 @@ func main() {
 	sys := streamgraph.New(streamgraph.Config{
 		Vertices:  vertices,
 		Analytics: streamgraph.AnalyticsPageRank,
-		// Instrument every other batch so the demo shows ABR
+		// The paper's sampled ABR (the default reorders every batch),
+		// instrumenting every other batch so the demo shows it
 		// reacting to the alternating batch character.
+		Policy:   streamgraph.Adaptive,
 		ABR:      streamgraph.ABRParams{N: 2, Lambda: 256, TH: 465},
 		Observer: observer,
 	})

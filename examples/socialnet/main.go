@@ -29,6 +29,7 @@ func main() {
 	sys := streamgraph.New(streamgraph.Config{
 		Vertices:  profile.Vertices,
 		Analytics: streamgraph.AnalyticsPageRank,
+		Policy:    streamgraph.Adaptive, // the paper's sampled ABR
 		ABR:       streamgraph.ABRParams{N: 2, Lambda: 256, TH: 465},
 	})
 

@@ -16,11 +16,11 @@
 // The controller instruments only every n-th batch (ABR-active) and
 // reuses the decision for the following n-1 batches (ABR-inert),
 // exploiting the temporal stability of batch degree distributions.
-// Instrumentation runs on whichever update path is current: the
-// reordered path reads degrees from the already-clustered vertex runs
-// (nearly free), the non-reordered path sorts the batch's destination
-// keys with the reordering partitioner and reads the same run lengths
-// (the paper populates an Intel TBB concurrent map instead).
+// Either way the degrees are destination run lengths: a reordered
+// batch's are read off the engine's destination view (MeasureSorted,
+// nearly free, and what the default policy does on every batch), a
+// non-reordered batch is sorted by destination first (the paper
+// populates an Intel TBB concurrent map instead).
 package abr
 
 import (
@@ -152,17 +152,50 @@ func CADFromRuns(lens []int, lambda int) float64 {
 	return float64(edges) / float64(x)
 }
 
-// CollectConcurrent measures CAD_λ on a non-reordered batch. The paper
-// populates a concurrent hash map alongside the edge updates (0.54x on
-// these batches); here the reordering partitioner sorts the
-// destination keys alone and the run lengths of that order are the
-// per-destination degrees. The scratch is allocated per call: ABR
-// measures one batch in N, and a workload that never reorders should
-// keep nothing for it. The name and the unused workers argument are
-// the paper's; nothing here is concurrent any more.
+// Profile is what one walk over a batch sorted by destination yields:
+// CAD_λ and the shape of its destination runs.
+type Profile struct {
+	CAD float64
+	// Runs is the number of destination runs (distinct destinations);
+	// MaxRun the longest, the hottest destination's intra-batch
+	// in-degree.
+	Runs, MaxRun int
+}
+
+// MeasureSorted profiles a batch that a reordered engine has already
+// sorted by destination (update.Reordered.DstView): the run lengths
+// are read off the view, so measuring every batch costs one walk and
+// keeps no lengths.
+func MeasureSorted(byDst []graph.Edge, lambda int) Profile {
+	var p Profile
+	edges, x := 0, 0 // b - y and x of CAD_λ
+	for lo, i := 0, 1; i <= len(byDst); i++ {
+		if i < len(byDst) && byDst[i].Dst == byDst[lo].Dst {
+			continue
+		}
+		l := i - lo // a run ends at i
+		p.Runs++
+		p.MaxRun = max(p.MaxRun, l)
+		if l > lambda {
+			edges += l
+			x++
+		}
+		lo = i
+	}
+	if x > 0 {
+		p.CAD = float64(edges) / float64(x)
+	}
+	return p
+}
+
+// CollectConcurrent measures CAD_λ on a non-reordered batch by sorting
+// it by destination on a scratch partitioner allocated per call, so a
+// workload that never reorders keeps nothing for it. The name and the
+// unused workers argument are the paper's, whose concurrent hash map
+// this replaces.
 func CollectConcurrent(b *graph.Batch, lambda, workers int) float64 {
 	var p reorder.Partitioner
-	return CADFromRuns(p.DstDegrees(b.Edges), lambda)
+	return MeasureSorted(p.Sort(nil, b.Edges, false), lambda).CAD
 }
 
 // MeanDegree is the D1-ablation alternative metric the paper rejects:

@@ -144,6 +144,10 @@ func TestCollectorsAgree(t *testing.T) {
 	if got := CollectConcurrent(b, lambda, 4); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("CollectConcurrent = %v, want %v", got, want)
 	}
+	prof := MeasureSorted(p.ByDst, lambda)
+	if math.Abs(prof.CAD-want) > 1e-9 || prof.Runs != len(p.RunsDst) || prof.MaxRun != 400 {
+		t.Fatalf("MeasureSorted = %+v, want CAD %v, %d runs, longest 400", prof, want, len(p.RunsDst))
+	}
 }
 
 func TestCollectConcurrentEmptyAndSerial(t *testing.T) {

@@ -411,14 +411,11 @@ func (s *TangoStore) HasEdge(src, dst VertexID) bool {
 func (s *TangoStore) InsertEdge(e Edge) bool {
 	s.EnsureVertices(int(e.Src) + 1)
 	s.EnsureVertices(int(e.Dst) + 1)
-	sv := s.at(e.Src)
-	sv.mu.Lock()
+	sv, dv := s.at(e.Src), s.at(e.Dst)
+	lockPair(e.Src, sv, e.Dst, dv)
 	added := sv.out.insert(e.Dst, e.Weight, &s.trans)
-	sv.mu.Unlock()
-	dv := s.at(e.Dst)
-	dv.mu.Lock()
 	dv.in.insert(e.Src, e.Weight, &s.trans)
-	dv.mu.Unlock()
+	unlockPair(sv, dv)
 	if added {
 		s.numEdge.Add(1)
 	}
@@ -430,19 +427,40 @@ func (s *TangoStore) DeleteEdge(src, dst VertexID) bool {
 	if int(src) >= s.NumVertices() || int(dst) >= s.NumVertices() {
 		return false
 	}
-	sv := s.at(src)
-	sv.mu.Lock()
+	sv, dv := s.at(src), s.at(dst)
+	lockPair(src, sv, dst, dv)
 	removed := sv.out.delete(dst, &s.trans)
-	sv.mu.Unlock()
-	if !removed {
-		return false
+	if removed {
+		dv.in.delete(src, &s.trans)
 	}
-	dv := s.at(dst)
-	dv.mu.Lock()
-	dv.in.delete(src, &s.trans)
-	dv.mu.Unlock()
-	s.numEdge.Add(-1)
-	return true
+	unlockPair(sv, dv)
+	if removed {
+		s.numEdge.Add(-1)
+	}
+	return removed
+}
+
+// lockPair locks both endpoints of an edge, the lower ID first so two
+// writers never wait on each other in a cycle. Holding both makes an
+// insert or delete atomic across the out- and in-list: with one lock
+// at a time, a delete could land between an insert's two halves and
+// leave the edge in one list only.
+func lockPair(a VertexID, av *tangoVertex, b VertexID, bv *tangoVertex) {
+	if a > b {
+		av, bv = bv, av
+	}
+	av.mu.Lock()
+	if av != bv {
+		bv.mu.Lock() //sglint:ignore lockorder the swap above orders the pair by vertex ID
+	}
+}
+
+// unlockPair releases what lockPair took.
+func unlockPair(av, bv *tangoVertex) {
+	av.mu.Unlock()
+	if av != bv {
+		bv.mu.Unlock()
+	}
 }
 
 // Census classifies every vertex by its out-adjacency representation.

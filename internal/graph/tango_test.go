@@ -154,33 +154,39 @@ func TestTangoLatestBID(t *testing.T) {
 
 // TestTangoConcurrentInsert mirrors the adjacency-store concurrency
 // test: overlapping concurrent writers must produce exactly the union,
-// including across tier transitions on the contended vertices.
+// including across tier transitions on the contended vertices. An
+// insert racing a delete of the same edge is the case that breaks an
+// insert or delete that is not atomic across the two endpoints (the
+// edge survives in one list only); one round hits that window rarely,
+// so the scenario is repeated.
 func TestTangoConcurrentInsert(t *testing.T) {
-	s := NewTangoStore(16)
-	const workers = 8
-	const perWorker = 500
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < perWorker; i++ {
-				if rng.Intn(4) == 0 {
-					s.DeleteEdge(VertexID(rng.Intn(16)), VertexID(rng.Intn(64)))
-				} else {
-					s.InsertEdge(Edge{
-						Src:    VertexID(rng.Intn(16)),
-						Dst:    VertexID(rng.Intn(64)),
-						Weight: 1,
-					})
+	for round := 0; round < 100; round++ {
+		s := NewTangoStore(16)
+		const workers = 8
+		const perWorker = 500
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w)))
+				for i := 0; i < perWorker; i++ {
+					if rng.Intn(4) == 0 {
+						s.DeleteEdge(VertexID(rng.Intn(16)), VertexID(rng.Intn(64)))
+					} else {
+						s.InsertEdge(Edge{
+							Src:    VertexID(rng.Intn(16)),
+							Dst:    VertexID(rng.Intn(64)),
+							Weight: 1,
+						})
+					}
 				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := CheckMirror(s); err != nil {
-		t.Fatal(err)
+			}(w)
+		}
+		wg.Wait()
+		if err := CheckMirror(s); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
 	}
 }
 

@@ -170,11 +170,11 @@ func New(o Options) *Observer {
 		"Batches processed at the force-baseline shed level.")
 
 	obs.ABRActiveTotal = reg.NewCounter("streamgraph_abr_active_batches_total",
-		"ABR-active (instrumented) batches.")
+		"Instrumented batches: ABR-active ones under the adaptive policy, every reordered one otherwise.")
 	obs.ABRFlipsTotal = reg.NewCounter("streamgraph_abr_decision_flips_total",
 		"ABR reorder decisions that changed the current mode.")
 	obs.CADHist = reg.NewHistogram("streamgraph_abr_cad",
-		"CAD_lambda values measured on ABR-active batches.",
+		"CAD_lambda values measured on instrumented batches.",
 		ExpBuckets(1, 4, 12))
 	obs.CADLast = reg.NewGauge("streamgraph_abr_cad_last",
 		"Most recent CAD_lambda measurement.")
@@ -333,8 +333,9 @@ func (o *Observer) ObserveEngineApply(engine string, seconds float64, edges, loc
 	o.SearchPerBatch.Observe(float64(comparisons))
 }
 
-// ObserveCAD records one ABR-active CAD_λ measurement and whether the
-// resulting decision flipped the current mode. Called by internal/abr.
+// ObserveCAD records one CAD_λ measurement and whether the resulting
+// decision flipped the current mode. Called by internal/abr, and by the
+// pipeline for batches it instruments outside ABR (never a flip).
 func (o *Observer) ObserveCAD(cad float64, flipped bool) {
 	if o == nil {
 		return

@@ -11,8 +11,11 @@ import (
 // ShedLevel is one rung of the load-shed ladder. The ladder reuses the
 // paper's adaptive thesis for overload: when the admission queue backs
 // up, choose a cheaper per-batch strategy instead of falling over —
-// first park analytics (the optional work), then drop to the cheapest
-// update engine (the mandatory work, done minimally). Rejecting
+// first park analytics (the optional work), then drop to the locked
+// baseline update engine, which skips the reorder and the input
+// measurement. Under the default every-batch-reordered policy that
+// engine costs more per edge than the one it replaces, so the second
+// rung no longer sheds update work (ROADMAP item 2). Rejecting
 // batches outright is the serving layer's job (internal/server's
 // bounded queue), above the pipeline.
 type ShedLevel int
@@ -24,9 +27,8 @@ const (
 	// (delayed, never lost) while updates proceed normally.
 	ShedSkipCompute
 	// ShedForceBaseline additionally skips the ABR decision and its
-	// instrumentation and forces the locked baseline update engine —
-	// the cheapest path through the update phase. Implies
-	// ShedSkipCompute.
+	// instrumentation and forces the locked baseline update engine,
+	// the path with no reorder. Implies ShedSkipCompute.
 	ShedForceBaseline
 )
 

@@ -71,11 +71,6 @@ func TestPipelineComputeAndTuningMatchOracle(t *testing.T) {
 			Compute:           &compute.CC{Incremental: true, Workers: 2},
 			ConcurrentCompute: true,
 		},
-		"autotune": {
-			Policy:   pipeline.ABRUSC,
-			Workers:  2,
-			AutoTune: true,
-		},
 	}
 	for name, cfg := range cfgs {
 		name, cfg := name, cfg

@@ -25,7 +25,6 @@ import (
 	"streamgraph/internal/obs"
 	"streamgraph/internal/oca"
 	"streamgraph/internal/sim"
-	"streamgraph/internal/stats"
 	"streamgraph/internal/update"
 )
 
@@ -128,11 +127,6 @@ type Config struct {
 	// OCA configures compute aggregation. The zero value enables OCA
 	// with the paper's threshold; set OCA.Disabled for baselines.
 	OCA oca.Config
-	// AutoTune enables online feedback tuning of the ABR threshold
-	// (the paper's suggested extension): after each ABR-active batch
-	// the controller's TH is adjusted from the observed per-edge
-	// update cost. Software policies only.
-	AutoTune bool
 	// Workers is the software engine worker count (0 = GOMAXPROCS).
 	Workers int
 	// Compute is the analytics engine run after updates; nil skips
@@ -190,12 +184,14 @@ type Config struct {
 // BatchMetrics records one processed batch.
 type BatchMetrics struct {
 	BatchID int
-	// ABRActive marks instrumented batches; Reordered the decision
-	// in effect; UsedHAU that the batch ran in the HW mode.
+	// ABRActive marks instrumented batches: ABR-active batches under
+	// adaptive policies, every reordered batch under the others.
+	// Reordered is the decision in effect; UsedHAU that the batch ran
+	// in the HW mode.
 	ABRActive bool
 	Reordered bool
 	UsedHAU   bool
-	// CAD is the measured CAD_λ (ABR-active batches only).
+	// CAD is the measured CAD_λ (instrumented batches only).
 	CAD float64
 	// Locality is OCA's inter-batch locality for this batch.
 	Locality float64
@@ -277,8 +273,6 @@ type Runner struct {
 	estore   *graph.EpochStore
 	epochEng *update.EpochEngine
 
-	tuner *abr.AutoTuner
-
 	simulator *hau.Simulator // Sim policies only
 
 	// computeCh signals completion of the in-flight async round
@@ -320,11 +314,7 @@ func NewRunner(cfg Config, numVertices int) *Runner {
 		}
 		r := NewRunnerWithStore(cfg, nil)
 		r.estore = graph.NewEpochStore(numVertices, graph.EpochOptions{})
-		r.epochEng = &update.EpochEngine{Cfg: update.Config{
-			Workers:        cfg.Workers,
-			CollectDstRuns: true,
-			Obs:            cfg.Obs,
-		}}
+		r.epochEng = &update.EpochEngine{Cfg: update.Config{Workers: cfg.Workers, Obs: cfg.Obs}}
 		return r
 	}
 	return NewRunnerWithStore(cfg, graph.NewAdjacencyStore(numVertices))
@@ -340,19 +330,15 @@ func NewRunnerWithStore(cfg Config, store *graph.AdjacencyStore) *Runner {
 		params = abr.DefaultParams
 	}
 	cfg.ABRParams = params
-	engCfg := update.Config{Workers: cfg.Workers}
-	runCfg := engCfg
-	runCfg.CollectDstRuns = true
-	engCfg.Obs = cfg.Obs
-	runCfg.Obs = cfg.Obs
+	engCfg := update.Config{Workers: cfg.Workers, Obs: cfg.Obs}
 	r := &Runner{
 		cfg:        cfg,
 		store:      store,
 		controller: abr.NewController(params),
 		agg:        oca.NewAggregator(cfg.OCA),
 		baseEng:    &update.Baseline{Cfg: engCfg},
-		roEng:      &update.Reordered{Cfg: runCfg},
-		uscEng:     &update.Reordered{Cfg: runCfg, USC: true},
+		roEng:      &update.Reordered{Cfg: engCfg},
+		uscEng:     &update.Reordered{Cfg: engCfg, USC: true},
 	}
 	r.controller.SetObserver(cfg.Obs)
 	r.agg.SetObserver(cfg.Obs)
@@ -363,20 +349,8 @@ func NewRunnerWithStore(cfg Config, store *graph.AdjacencyStore) *Runner {
 		}
 		r.simulator = hau.NewSimulator(simCfg, hau.ModeBaseline)
 	}
-	if cfg.AutoTune && cfg.Policy.adaptive() && !cfg.Policy.simulated() {
-		r.tuner = abr.NewAutoTuner(params)
-	}
 	r.metrics.Policy = cfg.Policy
 	return r
-}
-
-// TunedParams returns the current ABR parameters, reflecting any
-// AutoTune adjustments.
-func (r *Runner) TunedParams() abr.Params {
-	if r.tuner != nil {
-		return r.tuner.Params()
-	}
-	return r.cfg.ABRParams
 }
 
 // Store exposes the adjacency graph state (for verification and
@@ -472,34 +446,31 @@ func (r *Runner) ProcessBatch(b *graph.Batch) BatchMetrics {
 	// retries idempotent.
 	r.cfg.Fault.BeforeUpdate()
 
+	var prof abr.Profile // zero on baseline-engine batches
 	if r.cfg.Policy.simulated() {
-		r.processSim(b, &bm, tr)
+		prof = r.processSim(b, &bm, tr)
 	} else {
-		r.processSoftware(b, &bm, tr, shed)
+		prof = r.processSoftware(b, &bm, tr, shed)
 	}
 
 	// Run-shape telemetry from the reordered path's destination runs
 	// (absent on baseline-engine batches).
 	skew := -1.0
-	if len(bm.Stats.DstRunLens) > 0 && len(b.Edges) > 0 {
-		mean, max := stats.RunShape(bm.Stats.DstRunLens)
-		skew = float64(max) / float64(len(b.Edges))
+	if prof.Runs > 0 {
+		skew = float64(prof.MaxRun) / float64(len(b.Edges))
 		if tr != nil {
-			tr.MeanRunLen = mean
-			tr.MaxRunLen = max
+			tr.MeanRunLen = float64(len(b.Edges)) / float64(prof.Runs)
+			tr.MaxRunLen = prof.MaxRun
 			tr.DegreeSkew = skew
 		}
 	}
-	// The lengths alias the engine's scratch, which the next batch
-	// overwrites: the retained metrics must not hold on to them.
-	bm.Stats.DstRunLens = nil
 
 	// Shadow adaptive store: replay the batch into the live replica and
 	// feed its migration controller the profile this pipeline already
 	// observed — delete ratio, run-shape skew, and CAD_λ on ABR-active
 	// batches. Fields the pipeline did not measure this batch stay
 	// negative so the controller's EWMA skips them rather than decaying
-	// toward zero on baseline-engine batches.
+	// toward zero on uninstrumented or baseline-engine batches.
 	if sh := r.cfg.Shadow; sh != nil {
 		cad := -1.0
 		if bm.ABRActive {
@@ -689,30 +660,32 @@ func (r *Runner) decide(b *graph.Batch) (active, reorderNow bool) {
 	}
 }
 
-// processSoftware runs one batch in the real software engines. At the
-// force-baseline shed rung the ABR decision (and its instrumentation
-// and tuning) is skipped entirely and the batch runs on the locked
-// baseline engine — the cheapest update path with no reorder cost —
+// processSoftware runs one batch in the real software engines and
+// returns the batch's destination-run profile (zero when the engine
+// did not sort the batch). At the force-baseline shed rung the ABR
+// decision (and its instrumentation) is skipped entirely and the batch
+// runs on the locked baseline engine — the path with no reorder cost —
 // without advancing the controller's sampling cadence.
-func (r *Runner) processSoftware(b *graph.Batch, bm *BatchMetrics, tr *obs.BatchTrace, shed ShedLevel) {
+func (r *Runner) processSoftware(b *graph.Batch, bm *BatchMetrics, tr *obs.BatchTrace, shed ShedLevel) abr.Profile {
 	var active, reorderNow bool
 	if shed < ShedForceBaseline {
 		decideSpan := tr.StartSpan("abr_decide")
 		active, reorderNow = r.decide(b)
 		decideSpan.End()
 	}
-	bm.ABRActive = active
+	// The epoch engine is inherently run-partitioned (it sorts every
+	// batch), so the reorder decision degenerates to true there.
+	reorderNow = reorderNow || r.estore != nil
 	bm.Reordered = reorderNow
 
-	var eng update.Engine
-	if r.estore == nil {
-		eng = r.pickEngine(reorderNow)
-	} else {
-		// The epoch engine is inherently run-partitioned (its arena
-		// counting sort reorders every batch), so the reorder decision
-		// degenerates to true and CAD instrumentation reads the runs.
-		reorderNow = true
-		bm.Reordered = true
+	var eng update.Engine = r.baseEng
+	var sorter interface{ DstView() []graph.Edge } // the engine, when it sorts
+	switch {
+	case r.estore != nil:
+		eng, sorter = nil, r.epochEng
+	case reorderNow:
+		e := r.reorderEngine()
+		eng, sorter = e, e
 	}
 	if tr != nil {
 		if eng != nil {
@@ -724,25 +697,30 @@ func (r *Runner) processSoftware(b *graph.Batch, bm *BatchMetrics, tr *obs.Batch
 	updateSpan := tr.StartSpan("update")
 	start := time.Now()
 	var st update.Stats
-	if r.estore != nil {
+	if eng == nil {
 		st, _ = r.epochEng.Apply(r.estore, b)
 	} else {
 		st = eng.Apply(r.store, b)
 	}
-	if active {
-		// Instrumentation overlapped with the update: the reordered
-		// path reads run lengths; the non-reordered path pays a sort
-		// of the destination keys for the same lengths.
+	// Instrumentation overlapped with the update. A sorted batch is
+	// profiled by one walk over its destination view; an ABR-active
+	// batch the engine did not sort pays a sort of the destination keys
+	// for its CAD_λ. Adaptive policies report to the controller on
+	// their ABR-active batches only; the other policies instrument every
+	// sorted batch.
+	var prof abr.Profile
+	if active || sorter != nil {
 		instrSpan := updateSpan.StartChild("abr_instrument")
-		var cad float64
-		if reorderNow {
-			cad = abr.CADFromRuns(st.DstRunLens, r.cfg.ABRParams.Lambda)
+		if sorter != nil {
+			prof = abr.MeasureSorted(sorter.DstView(), r.cfg.ABRParams.Lambda)
 		} else {
-			cad = abr.CollectConcurrent(b, r.cfg.ABRParams.Lambda, r.cfg.Workers)
+			prof.CAD = abr.CollectConcurrent(b, r.cfg.ABRParams.Lambda, r.cfg.Workers)
 		}
 		instrSpan.End()
-		r.controller.Report(cad)
-		bm.CAD = cad
+	}
+	switch {
+	case active:
+		r.controller.Report(prof.CAD)
 		if reorderNow && !r.controller.Reordering() {
 			// ABR left the reordered path, possibly for good: start the
 			// engines over so that an idle one keeps no batch-sized
@@ -750,6 +728,13 @@ func (r *Runner) processSoftware(b *graph.Batch, bm *BatchMetrics, tr *obs.Batch
 			r.roEng = &update.Reordered{Cfg: r.roEng.Cfg}
 			r.uscEng = &update.Reordered{Cfg: r.uscEng.Cfg, USC: true}
 		}
+	case sorter != nil && !r.cfg.Policy.adaptive():
+		active = true
+		r.cfg.Obs.ObserveCAD(prof.CAD, false)
+	}
+	if active {
+		bm.ABRActive = true
+		bm.CAD = prof.CAD
 	}
 	bm.Update = time.Since(start)
 	// The engine reports its reorder sort as a duration; promote it to
@@ -777,31 +762,12 @@ func (r *Runner) processSoftware(b *graph.Batch, bm *BatchMetrics, tr *obs.Batch
 		tr.Decisions = append(tr.Decisions, audit)
 	}
 	r.model.observe(reorderNow, len(b.Edges), bm.Update.Nanoseconds())
-
-	// Online feedback tuning: feed the active batch's outcome and
-	// rebuild the controller when TH moved.
-	if active && r.tuner != nil && st.EdgesApplied > 0 {
-		before := r.tuner.Params().TH
-		perEdge := float64(bm.Update.Nanoseconds()) / float64(st.EdgesApplied)
-		r.tuner.Observe(bm.CAD, reorderNow, perEdge)
-		if after := r.tuner.Params(); after.TH != before {
-			fresh := abr.NewController(after)
-			fresh.SetObserver(r.cfg.Obs)
-			fresh.Report(bm.CAD) // carry over the latest measurement
-			// Preserve the instrumentation cadence by replaying the
-			// batch count? The period restarts; with n batches per
-			// period this shifts the phase by at most one period.
-			r.controller = fresh
-			r.cfg.ABRParams = after
-		}
-	}
+	return prof
 }
 
-// pickEngine selects the software engine for the current decision.
-func (r *Runner) pickEngine(reorderNow bool) update.Engine {
-	if !reorderNow {
-		return r.baseEng
-	}
+// reorderEngine is the engine for a reordered batch: RO+USC under the
+// USC policies, plain RO otherwise.
+func (r *Runner) reorderEngine() *update.Reordered {
 	switch r.cfg.Policy {
 	case AlwaysROUSC, ABRUSC:
 		return r.uscEng
@@ -812,7 +778,7 @@ func (r *Runner) pickEngine(reorderNow bool) update.Engine {
 
 // processSim runs one batch on the simulated machine, then applies it
 // functionally so compute and subsequent batches see real state.
-func (r *Runner) processSim(b *graph.Batch, bm *BatchMetrics, tr *obs.BatchTrace) {
+func (r *Runner) processSim(b *graph.Batch, bm *BatchMetrics, tr *obs.BatchTrace) abr.Profile {
 	decideSpan := tr.StartSpan("abr_decide")
 	active, reorderNow := r.decide(b)
 	decideSpan.End()
@@ -861,17 +827,17 @@ func (r *Runner) processSim(b *graph.Batch, bm *BatchMetrics, tr *obs.BatchTrace
 	bm.HAUResult = &res
 
 	// Functional application (not timed): USC engine for speed.
-	st := r.uscEng.Apply(r.store, b)
-	bm.Stats = st
+	bm.Stats = r.uscEng.Apply(r.store, b)
+	prof := abr.MeasureSorted(r.uscEng.DstView(), r.cfg.ABRParams.Lambda)
 
 	// Adaptive Sim policies without an oracle measure CAD on
 	// ABR-active batches and pay the simulated instrumentation cost
 	// (cheap on the reordered path, a concurrent-map pass otherwise).
 	if active && r.cfg.Policy.adaptive() && r.cfg.Oracle == nil {
-		cad := abr.CADFromRuns(st.DstRunLens, r.cfg.ABRParams.Lambda)
-		r.controller.Report(cad)
-		bm.CAD = cad
+		r.controller.Report(prof.CAD)
+		bm.CAD = prof.CAD
 		bm.SimCycles += r.simulator.SimulateInstrumentation(b, reorderNow)
 	}
 	updateSpan.End()
+	return prof
 }

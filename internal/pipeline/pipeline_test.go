@@ -244,59 +244,6 @@ func TestROFasterOnFriendlyBatches(t *testing.T) {
 	}
 }
 
-// TestAutoTuneAdjustsThreshold: a hub-heavy stream under a
-// misconfigured (sky-high) threshold gets its TH walked down by the
-// online feedback until ABR starts reordering. The stream is crafted
-// so the locked baseline's duplicate scans are an order of magnitude
-// more work than USC's coalesced scan — wall-clock noise cannot
-// invert the signal.
-func TestAutoTuneAdjustsThreshold(t *testing.T) {
-	const (
-		verts = 8000
-		hub   = graph.VertexID(7)
-		pool  = 6000 // hub community: the hub's list saturates at 6000
-	)
-	mkBatch := func(id int) *graph.Batch {
-		b := &graph.Batch{ID: id}
-		for j := 0; j < 12000; j++ {
-			src := graph.VertexID(id*31+j*17) % pool
-			if j%20 == 0 { // scatter a few edges off-hub
-				b.Edges = append(b.Edges, graph.Edge{Src: src + pool, Dst: graph.VertexID(j % verts), Weight: 1})
-				continue
-			}
-			// The baseline pays a long duplicate scan per hub edge;
-			// USC coalesces the whole run into one scan — a ~10x gap
-			// that wall-clock noise cannot invert.
-			b.Edges = append(b.Edges, graph.Edge{Src: src, Dst: hub, Weight: 1})
-		}
-		return b
-	}
-	cfg := Config{
-		Policy:    ABRUSC,
-		Workers:   2,
-		AutoTune:  true,
-		ABRParams: abr.Params{N: 2, Lambda: 256, TH: 50000},
-		OCA:       oca.Config{Disabled: true},
-	}
-	r := NewRunner(cfg, verts)
-	for i := 0; i < 24; i++ {
-		r.ProcessBatch(mkBatch(i))
-	}
-	if r.TunedParams().TH >= 50000 {
-		t.Fatalf("AutoTune never moved TH: %v", r.TunedParams().TH)
-	}
-	// Without AutoTune the params stay fixed.
-	r2 := NewRunner(Config{Policy: ABRUSC, Workers: 2,
-		ABRParams: abr.Params{N: 2, Lambda: 256, TH: 50000},
-		OCA:       oca.Config{Disabled: true}}, verts)
-	for i := 0; i < 4; i++ {
-		r2.ProcessBatch(mkBatch(i))
-	}
-	if r2.TunedParams().TH != 50000 {
-		t.Fatal("params moved without AutoTune")
-	}
-}
-
 // TestConcurrentComputeEquivalence: overlapping compute rounds with
 // the next update (on CSR snapshots) yields the same final analytics
 // as the sequential pipeline.

@@ -4,11 +4,11 @@
 // locks (Section 3.2 of the paper).
 //
 // The paper sorts with Boost's parallel stable sort; vertex IDs here
-// are dense uint32s, so the sort is a stable LSD radix sort over
-// (key, position) words — linear in the batch, no comparator, and no
-// per-vertex table: everything a Partitioner retains is O(batch),
-// never O(V). The update engines consume the resulting vertex runs
-// through a dynamic work queue.
+// are dense uint32s, so the sort is a stable LSD radix sort over input
+// positions — linear in the batch, no comparator, and no per-vertex
+// table: everything a Partitioner retains is O(batch), never O(V). The
+// update engines find the vertex runs in the sorted view as they go
+// (RunEnd) and hand them out through a dynamic work queue.
 //
 // Reordering produces two sorted views — by source and by destination —
 // because out-edge updates cluster by source while in-edge updates
@@ -18,6 +18,7 @@ package reorder
 
 import (
 	"slices"
+	"sort"
 	"sync"
 
 	"streamgraph/internal/graph"
@@ -34,6 +35,59 @@ type Run struct {
 // Len returns the number of edges in the run.
 func (r Run) Len() int { return r.Hi - r.Lo }
 
+// Key returns e's key in the by-source (bySrc) or by-destination view.
+func Key(e *graph.Edge, bySrc bool) graph.VertexID {
+	if bySrc {
+		return e.Src
+	}
+	return e.Dst
+}
+
+// RunEnd returns the end of the run holding view[i] in a view sorted
+// by key: the first index past i with another key. A run is walked
+// for its first few edges and then galloped over, so a one-edge run
+// costs one comparison and a hub's run O(log run); that is cheap
+// enough for the engines to find runs in the view instead of storing
+// them.
+func RunEnd(view []graph.Edge, i int, bySrc bool) int {
+	k := Key(&view[i], bySrc)
+	lo := i + 1 // view[lo-1] has key k
+	for end := min(i+8, len(view)); lo < end; lo++ {
+		if Key(&view[lo], bySrc) != k {
+			return lo
+		}
+	}
+	hi := lo
+	for step := 8; hi < len(view) && Key(&view[hi], bySrc) == k; step *= 2 {
+		lo, hi = hi+1, hi+step
+	}
+	hi = min(hi, len(view))
+	return lo + sort.Search(hi-lo, func(j int) bool { return Key(&view[lo+j], bySrc) != k })
+}
+
+// RunLens empties lens and fills it with the run lengths of a sorted
+// view: per vertex, its intra-batch degree in that direction.
+func RunLens(lens []int, view []graph.Edge, bySrc bool) []int {
+	lens = lens[:0]
+	for lo := 0; lo < len(view); {
+		hi := RunEnd(view, lo, bySrc)
+		lens = append(lens, hi-lo)
+		lo = hi
+	}
+	return lens
+}
+
+// appendRuns empties runs and fills it with the runs of a sorted view.
+func appendRuns(runs []Run, view []graph.Edge, bySrc bool) []Run {
+	runs = runs[:0]
+	for lo := 0; lo < len(view); {
+		hi := RunEnd(view, lo, bySrc)
+		runs = append(runs, Run{V: Key(&view[lo], bySrc), Lo: lo, Hi: hi})
+		lo = hi
+	}
+	return runs
+}
+
 // Three 11-bit digits cover a 32-bit key; a digit every key shares
 // (the high digits of any realistic vertex space) costs no pass.
 const (
@@ -43,127 +97,163 @@ const (
 	radixDigits = 3
 )
 
+// digit returns key's d-th radix digit.
+func digit(k graph.VertexID, d int) uint32 { return uint32(k>>(d*radixBits)) & radixMask }
+
 // Partitioner is the reusable scratch of the reordering sort. The zero
-// value is ready to use. Partition overwrites the exported views and
-// runs in place, so they are valid until the next call; the buffers
-// grow to the largest batch seen and are retained, and a warmed
-// Partitioner allocates nothing. One goroutine at a time.
+// value is ready to use, and one goroutine uses it at a time.
+//
+// Sort is what the engines call: it keeps only 4 bytes per edge of
+// positions (8 when keys need all three digits) and the digit
+// histograms, and writes the view into the caller's buffer. Partition
+// builds both views and their runs for callers that want them at once;
+// it overwrites the exported fields in place, so they are valid until
+// the next call. Buffers grow to the largest batch seen and are kept,
+// so a warmed Partitioner allocates nothing.
 type Partitioner struct {
 	// BySrc and ByDst are the batch stable-sorted by source and by
 	// destination; RunsSrc and RunsDst are their vertex runs.
 	BySrc, ByDst     []graph.Edge
 	RunsSrc, RunsDst []Run
 
-	words, spare []uint64 // key<<32 | input position, ping-ponged by the passes
-	hist         []uint32 // radixDigits digit histograms
-	lens         []int
+	pos, spare []uint32 // input positions, ping-ponged by the passes before the last
+	hist       []uint32 // radixDigits digit histograms
+	lens       []int
 }
 
 // Partition builds both sorted views of edges and their runs. The
 // input is not modified.
 func (p *Partitioner) Partition(edges []graph.Edge) {
-	p.BySrc, p.RunsSrc = gather(p.BySrc, p.RunsSrc, edges, p.sortWords(edges, true))
-	p.ByDst, p.RunsDst = gather(p.ByDst, p.RunsDst, edges, p.sortWords(edges, false))
+	p.BySrc = p.Sort(p.BySrc, edges, true)
+	p.RunsSrc = appendRuns(p.RunsSrc, p.BySrc, true)
+	p.ByDst = p.Sort(p.ByDst, edges, false)
+	p.RunsDst = appendRuns(p.RunsDst, p.ByDst, false)
 }
 
-// DstRunLens returns the lengths of RunsDst — each destination's
-// intra-batch in-degree, ABR's reordered-path input. The slice aliases
-// the scratch and is valid until the next call on p.
+// DstRunLens returns the run lengths of ByDst — each destination's
+// intra-batch in-degree. The slice aliases the scratch and is valid
+// until the next call on p.
 func (p *Partitioner) DstRunLens() []int {
-	p.lens = lensFor(p.lens, len(p.RunsDst))
-	for _, r := range p.RunsDst {
-		p.lens = append(p.lens, r.Len())
-	}
+	p.lens = RunLens(p.lens, p.ByDst, false)
 	return p.lens
 }
 
-// DstDegrees returns the same lengths for a batch that is not being
-// reordered: it sorts the destination keys alone and builds no view.
+// DstDegrees returns the same lengths for edges without partitioning
+// them by source: it sorts ByDst alone and leaves RunsDst stale.
 func (p *Partitioner) DstDegrees(edges []graph.Edge) []int {
-	sorted := p.sortWords(edges, false)
-	p.lens = lensFor(p.lens, len(sorted))
-	lo := 0
-	for j := 1; j <= len(sorted); j++ {
-		if j == len(sorted) || sorted[j]>>32 != sorted[lo]>>32 {
-			p.lens = append(p.lens, j-lo)
-			lo = j
-		}
-	}
-	return p.lens
+	p.ByDst = p.Sort(p.ByDst, edges, false)
+	return p.DstRunLens()
 }
 
-// lensFor empties lens with room for n lengths, so that filling it
-// never grows it piecemeal.
-func lensFor(lens []int, n int) []int {
-	if cap(lens) < n {
-		return make([]int, 0, n)
-	}
-	return lens[:0]
-}
-
-// sortWords returns one word per edge, key<<32 | input position,
-// stable-sorted by key. The result aliases the scratch.
-func (p *Partitioner) sortWords(edges []graph.Edge, bySrc bool) []uint64 {
+// Sort writes edges stable-sorted by source (bySrc) or destination
+// into view, growing it if it is short, and returns it. The input is
+// not modified.
+//
+// It is an LSD radix sort over the digits in which the keys differ.
+// Every pass but the last moves 4-byte input positions; the last moves
+// the edges themselves into view, so there is no separate gather.
+func (p *Partitioner) Sort(view, edges []graph.Edge, bySrc bool) []graph.Edge {
 	n := len(edges)
-	if cap(p.words) < n {
-		p.words, p.spare = make([]uint64, n), make([]uint64, n)
+	if cap(view) < n {
+		view = make([]graph.Edge, n)
 	}
+	view = view[:n]
+	order, last := p.order(edges, bySrc)
+	if last < 0 {
+		copy(view, edges) // at most one key: the input order is sorted
+		return view
+	}
+	h := p.offsets(last)
+	if order == nil {
+		for i := range edges {
+			b := digit(Key(&edges[i], bySrc), last)
+			view[h[b]] = edges[i]
+			h[b]++
+		}
+		return view
+	}
+	for _, at := range order {
+		b := digit(Key(&edges[at], bySrc), last)
+		view[h[b]] = edges[at]
+		h[b]++
+	}
+	return view
+}
+
+// order radix-sorts input positions by key over the digits in which
+// the keys differ, all but the last, which Sort makes on the edges
+// themselves. It returns the positions in that order (nil for the
+// input order, when at most one pass is needed) and the digit of the
+// last pass (-1 when the keys do not differ at all).
+func (p *Partitioner) order(edges []graph.Edge, bySrc bool) (order []uint32, last int) {
+	n := len(edges)
 	if p.hist == nil {
 		p.hist = make([]uint32, radixDigits*radixSize)
 	}
 	hist := p.hist
 	clear(hist)
-	from, to := p.words[:n], p.spare[:n]
 	for i := range edges {
-		k := edges[i].Dst
-		if bySrc {
-			k = edges[i].Src
-		}
-		from[i] = uint64(k)<<32 | uint64(i)
+		k := Key(&edges[i], bySrc)
 		hist[k&radixMask]++
 		hist[radixSize+(k>>radixBits)&radixMask]++
 		hist[2*radixSize+(k>>(2*radixBits))]++
 	}
+	var passes [radixDigits]int
+	np := 0
 	for d := 0; d < radixDigits && n > 0; d++ {
-		h := hist[d*radixSize : (d+1)*radixSize]
-		shift := 32 + d*radixBits
-		if h[(from[0]>>shift)&radixMask] == uint32(n) {
-			continue // every key has this digit
+		if hist[d*radixSize+int(digit(Key(&edges[0], bySrc), d))] != uint32(n) {
+			passes[np] = d // the keys differ in this digit
+			np++
 		}
-		var off uint32
-		for j, c := range h {
-			h[j] = off
-			off += c
-		}
-		for _, w := range from {
-			j := (w >> shift) & radixMask
-			to[h[j]] = w
-			h[j]++
-		}
-		from, to = to, from
 	}
-	return from
+	if np == 0 {
+		return nil, -1
+	}
+	run := passes[:np-1]
+	if len(run) > 0 && cap(p.pos) < n {
+		p.pos = make([]uint32, n)
+	}
+	if len(run) > 1 && cap(p.spare) < n {
+		p.spare = make([]uint32, n)
+	}
+	for j, d := range run {
+		to := p.pos[:n]
+		if j%2 == 1 {
+			to = p.spare[:n]
+		}
+		scatter(to, order, edges, bySrc, d, p.offsets(d))
+		order = to
+	}
+	return order, passes[np-1]
 }
 
-// gather materialises the sorted view and emits its runs in the same
-// walk over the sorted words.
-func gather(view []graph.Edge, runs []Run, edges []graph.Edge, sorted []uint64) ([]graph.Edge, []Run) {
-	if cap(view) < len(sorted) {
-		view = make([]graph.Edge, len(sorted))
+// offsets turns digit d's histogram into bucket start offsets.
+func (p *Partitioner) offsets(d int) []uint32 {
+	h := p.hist[d*radixSize : (d+1)*radixSize]
+	var off uint32
+	for b, c := range h {
+		h[b] = off
+		off += c
 	}
-	view, runs = view[:len(sorted)], runs[:0]
-	lo := 0
-	for j, w := range sorted {
-		view[j] = edges[uint32(w)]
-		if prev := sorted[lo] >> 32; w>>32 != prev {
-			runs = append(runs, Run{V: graph.VertexID(prev), Lo: lo, Hi: j})
-			lo = j
+	return h
+}
+
+// scatter moves positions into to by digit d, stably, reading them in
+// the given order (nil for the input order); h holds the offsets.
+func scatter(to, order []uint32, edges []graph.Edge, bySrc bool, d int, h []uint32) {
+	if order == nil {
+		for i := range edges {
+			b := digit(Key(&edges[i], bySrc), d)
+			to[h[b]] = uint32(i)
+			h[b]++
 		}
+		return
 	}
-	if len(sorted) > 0 {
-		runs = append(runs, Run{V: graph.VertexID(sorted[lo] >> 32), Lo: lo, Hi: len(sorted)})
+	for _, at := range order {
+		b := digit(Key(&edges[at], bySrc), d)
+		to[h[b]] = at
+		h[b]++
 	}
-	return view, runs
 }
 
 // Reordered is a reordered input batch that owns its memory: the same

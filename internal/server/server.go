@@ -514,7 +514,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP streamgraph_batches_total Batches ingested.\n")
 	fmt.Fprintf(w, "# TYPE streamgraph_batches_total counter\n")
 	fmt.Fprintf(w, "streamgraph_batches_total %d\n", batches)
-	fmt.Fprintf(w, "# HELP streamgraph_reordered_batches_total Batches ABR chose to reorder.\n")
+	fmt.Fprintf(w, "# HELP streamgraph_reordered_batches_total Batches run in the reordered mode.\n")
 	fmt.Fprintf(w, "# TYPE streamgraph_reordered_batches_total counter\n")
 	fmt.Fprintf(w, "streamgraph_reordered_batches_total %d\n", reordered)
 	fmt.Fprintf(w, "# HELP streamgraph_compute_rounds_total Computation rounds scheduled (OCA may cover two batches per round).\n")

@@ -18,12 +18,12 @@ import (
 )
 
 // EpochEngine applies batches to an EpochStore. One engine owns its
-// partitioner; uses of one engine are serialized by the store's
-// writer lock (BeginBatch/FinishBatch bracket every Apply).
+// partitioner and sorted view (the same scratch layout as Reordered);
+// uses of one engine are serialized by the store's writer lock
+// (BeginBatch/FinishBatch bracket every Apply).
 type EpochEngine struct {
-	Cfg  Config
-	part reorder.Partitioner
-	run  []runWorker
+	Cfg Config
+	runScratch
 }
 
 // Name identifies the engine in reports and traces.
@@ -36,62 +36,57 @@ func (e *EpochEngine) Apply(s *graph.EpochStore, b *graph.Batch) (Stats, uint64)
 	start := time.Now()
 	st := Stats{EdgesApplied: int64(len(b.Edges))}
 	bid := int32(b.ID)
-	workers := e.Cfg.workers()
-	if len(e.run) < workers {
-		e.run = make([]runWorker, workers)
-	}
+	workers := e.workers(e.Cfg)
 
 	s.BeginBatch(workers, int(b.MaxVertex())+1)
-	e.part.Partition(b.Edges)
-	st.Sort = time.Since(start)
-
-	updStart := time.Now()
-	e.applyPass(s, e.part.RunsSrc, e.part.BySrc, true, bid, workers)
-	if e.Cfg.CollectDstRuns {
-		st.DstRunLens = e.part.DstRunLens()
-	}
-	e.applyPass(s, e.part.RunsDst, e.part.ByDst, false, bid, workers)
+	e.pass(s, b, true, bid, workers, &st)
+	e.pass(s, b, false, bid, workers, &st)
+	e.collect(e.Cfg, &st)
 	delta := settle(e.run, &st)
-	st.Update = time.Since(updStart)
 
 	epoch := s.FinishBatch(int(delta))
 	st.Total = time.Since(start)
+	st.Update = st.Total - st.Sort
 	e.Cfg.observe(e.Name(), &st)
 	return st, epoch
 }
 
-// applyPass executes one pass, inline for a single worker (the
-// zero-allocation path) and over the run queue otherwise, each worker
-// owning its arena index.
-func (e *EpochEngine) applyPass(s *graph.EpochStore, runs []reorder.Run, view []graph.Edge, out bool, bid int32, workers int) {
+// pass sorts b by source (out) or destination and applies the view's
+// runs, inline for a single worker (the zero-allocation path) and over
+// the run queue otherwise, each worker owning its arena index.
+func (e *EpochEngine) pass(s *graph.EpochStore, b *graph.Batch, out bool, bid int32, workers int, st *Stats) {
+	e.sort(b, out, st)
 	if workers == 1 {
-		e.run[0].applyEpochRuns(s, 0, runs, view, out, bid)
+		e.run[0].applyEpochRuns(s, 0, e.view, out, bid)
 		return
 	}
-	parallelRuns(len(runs), workers, func(k, lo, hi int) {
-		e.run[k].applyEpochRuns(s, k, runs[lo:hi], view, out, bid)
+	parallelRuns(e.view, out, workers, func(k, lo, hi int) {
+		e.run[k].applyEpochRuns(s, k, e.view[lo:hi], out, bid)
 	})
 }
 
-// applyEpochRuns applies vertex runs through arena k (the store's own
-// coalescing table, not w's) and folds their counters into w. Only the
-// out pass's created-minus-removed count contributes to the store's
-// edge total; touching run owners alone covers every vertex of the
-// batch across the two passes.
-func (w *runWorker) applyEpochRuns(s *graph.EpochStore, k int, runs []reorder.Run, view []graph.Edge, out bool, bid int32) {
-	for _, run := range runs {
-		rs := s.ApplyRun(k, run.V, out, view[run.Lo:run.Hi])
+// applyEpochRuns applies the vertex runs of a span of the sorted view
+// through arena k (the store's own coalescing table, not w's) and
+// folds their counters into w. Only the out pass's created-minus-
+// removed count contributes to the store's edge total; touching run
+// owners alone covers every vertex of the batch across the two passes.
+func (w *runWorker) applyEpochRuns(s *graph.EpochStore, k int, view []graph.Edge, out bool, bid int32) {
+	for lo := 0; lo < len(view); {
+		hi := reorder.RunEnd(view, lo, out)
+		v := reorder.Key(&view[lo], out)
+		rs := s.ApplyRun(k, v, out, view[lo:hi])
 		w.ws.comparisons += rs.Comparisons
 		w.ws.hashOps += rs.HashOps
 		if out {
 			w.delta += int64(rs.Created - rs.Removed)
 		}
-		unique, overlap := s.TouchBID(run.V, bid)
+		unique, overlap := s.TouchBID(v, bid)
 		if unique {
 			w.ws.unique++
 		}
 		if overlap {
 			w.ws.overlap++
 		}
+		lo = hi
 	}
 }

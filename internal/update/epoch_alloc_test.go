@@ -12,6 +12,7 @@ package update_test
 // property statically.
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -95,4 +96,45 @@ func TestReorderedUSCIngestZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("single-worker ro+usc ingest: %v allocs per batch (%d edges), want 0", allocs, b.Size())
 	}
+}
+
+// maxScratchPerEdge bounds what a warmed RO+USC engine keeps between
+// batches, in bytes per edge of its largest batch: one 16-byte sorted
+// view, 4-byte sort positions, and the fixed digit histograms (24 KiB,
+// about 5 bytes per edge at 5 000 edges). Storing both views, 8-byte
+// sort words and the run lists instead came to about 88.
+const maxScratchPerEdge = 32
+
+// TestReorderedRetainedScratch: the reordered engine runs on every
+// batch by default, so what it retains is live heap on every workload.
+// The batches are 5 000 edges whose sources and destinations each form
+// runs of about two edges, the shape where per-run state costs most.
+func TestReorderedRetainedScratch(t *testing.T) {
+	const edges, keys = 5000, 2500
+	rng := rand.New(rand.NewSource(11))
+	st := graph.NewAdjacencyStore(20 * keys)
+	eng := &update.Reordered{Cfg: update.Config{Workers: 2}, USC: true}
+	for id := 0; id < 4; id++ {
+		b := &graph.Batch{ID: id, Edges: make([]graph.Edge, edges)}
+		for i := range b.Edges {
+			b.Edges[i] = graph.Edge{Src: graph.VertexID(20*rng.Intn(keys) + 1),
+				Dst: graph.VertexID(20 * rng.Intn(keys)), Weight: 1}
+		}
+		eng.Apply(st, b)
+	}
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	with := heap()
+	runtime.KeepAlive(eng)
+	without := heap()
+	runtime.KeepAlive(st)
+	perEdge := float64(int64(with)-int64(without)) / edges
+	if perEdge > maxScratchPerEdge {
+		t.Fatalf("warmed ro+usc engine retains %.1f B/edge, want <= %d", perEdge, maxScratchPerEdge)
+	}
+	t.Logf("retained scratch: %.1f B/edge", perEdge)
 }

@@ -27,6 +27,7 @@ import (
 
 	"streamgraph/internal/graph"
 	"streamgraph/internal/obs"
+	"streamgraph/internal/reorder"
 )
 
 // Stats describes one batch update: where the time went and how much
@@ -183,22 +184,27 @@ func parallelChunks(n, workers int, st *Stats, fn func(lo, hi int, w *workerStat
 	}
 }
 
-// runChunk is how many vertex runs a worker claims per grab: small
-// enough that a batch has hundreds of chunks to balance a hub's long
-// run against, large enough that the shared cursor is not hit per run.
-const runChunk = 32
-
-// parallelRuns dynamically schedules n vertex runs across workers in
-// chunks (the RO work division: one thread owns all of a vertex's
-// edges) and joins them. fn receives the worker's index and a run
-// range; worker indices are dense from 0.
-func parallelRuns(n, workers int, fn func(k, lo, hi int)) {
-	if chunks := (n + runChunk - 1) / runChunk; workers > chunks {
+// parallelRuns dynamically schedules the vertex runs of a sorted view
+// across workers and joins them (the RO work division: one thread owns
+// all of a vertex's edges). A worker claims chunk edges at a time and
+// applies every run that starts inside its claim, so a run is never
+// split and no run list is stored. fn receives the worker's index and
+// a span of whole runs; worker indices are dense from 0.
+func parallelRuns(view []graph.Edge, bySrc bool, workers int, fn func(k, lo, hi int)) {
+	n := len(view)
+	if chunks := (n + chunk - 1) / chunk; workers > chunks {
 		workers = chunks
 	}
 	if workers <= 1 {
 		fn(0, 0, n) // a batch this small is not worth a goroutine
 		return
+	}
+	// startOf moves i forward to the first run that starts at or after it.
+	startOf := func(i int) int {
+		if i == 0 || i == n || reorder.Key(&view[i-1], bySrc) != reorder.Key(&view[i], bySrc) {
+			return i
+		}
+		return reorder.RunEnd(view, i, bySrc)
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -207,11 +213,13 @@ func parallelRuns(n, workers int, fn func(k, lo, hi int)) {
 		go func(k int) {
 			defer wg.Done()
 			for {
-				lo := int(next.Add(runChunk)) - runChunk
+				lo := int(next.Add(chunk)) - chunk
 				if lo >= n {
 					return
 				}
-				fn(k, lo, min(lo+runChunk, n))
+				if lo, hi := startOf(lo), startOf(min(lo+chunk, n)); lo < hi {
+					fn(k, lo, hi)
+				}
 			}
 		}(k)
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -313,5 +314,44 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if c.minCoalesce() != 8 {
 		t.Fatalf("default minCoalesce = %d", c.minCoalesce())
+	}
+}
+
+// TestParallelRunsCoversEveryRunOnce: the run queue hands each vertex
+// run of a sorted view to exactly one worker, whole, even when a hub's
+// run spans many claims or a claim falls entirely inside one run.
+func TestParallelRunsCoversEveryRunOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var view []graph.Edge
+	for v := graph.VertexID(0); v < 200; v++ {
+		n := 1 + rng.Intn(4)
+		switch v {
+		case 3, 150:
+			n = 1000 // hub runs crossing several claims
+		case 151:
+			n = chunk // a run exactly one claim long
+		}
+		for i := 0; i < n; i++ {
+			view = append(view, graph.Edge{Src: v, Dst: v})
+		}
+	}
+	for _, workers := range []int{1, 2, 4} {
+		seen := make([]int32, len(view))
+		var mu sync.Mutex
+		parallelRuns(view, true, workers, func(k, lo, hi int) {
+			if lo > 0 && view[lo-1].Src == view[lo].Src || hi < len(view) && view[hi-1].Src == view[hi].Src {
+				t.Errorf("workers=%d: span [%d,%d) splits a run", workers, lo, hi)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for i := lo; i < hi; i++ {
+				seen[i]++
+			}
+		})
+		for i, c := range seen {
+			if c != 1 {
+				t.Fatalf("workers=%d: edge %d applied %d times", workers, i, c)
+			}
+		}
 	}
 }

@@ -130,12 +130,17 @@ record "shard oracle" $? 24
 echo "== benchmark self-test =="
 # The repository benchmark is a module of its own, so the gates above
 # never run its unit tests (oracle gate, percentiles, open-loop
-# scheduler). Run them, then smoke one workload for 2 seconds and judge
-# only the verdict line: output correct, no operation failed. Timings
-# of a 2-second run mean nothing and are not read.
+# scheduler). Run them, then smoke two workloads for 2 seconds each —
+# hub-ingest (hubs, inserts only) and churn-ingest (deletes, duplicates
+# and skew, the default engine's hardest input) — and judge only the
+# verdict lines: output correct, no operation failed. Timings of a
+# 2-second run mean nothing and are not read.
+smoke() {
+    bash benchmark/run.sh --workload "$1" --seconds 2 | tail -n 1 |
+        grep -q '"correct":true,"attempted":[0-9]*,"failed":0,'
+}
 (cd benchmark && go vet ./... && go test -count=1 ./...) &&
-    bash benchmark/run.sh --workload hub-ingest --seconds 2 | tail -n 1 |
-    grep -q '"correct":true,"attempted":[0-9]*,"failed":0,'
+    smoke hub-ingest && smoke churn-ingest
 record "benchmark self-test" $? 25
 
 echo "== baseline preflight =="

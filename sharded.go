@@ -37,24 +37,8 @@ func newShardedSystem(cfg Config, seed *graph.AdjacencyStore) *System {
 		panic("streamgraph: Config.ShadowStore is incompatible with Shards > 1")
 	}
 
-	var pol pipeline.Policy
-	switch cfg.Policy {
-	case NeverReorder:
-		pol = pipeline.Baseline
-	case AlwaysReorder:
-		pol = pipeline.AlwaysROUSC
-	default:
-		pol = pipeline.ABRUSC
-	}
-	pcfg := pipeline.Config{
-		Policy:    pol,
-		ABRParams: cfg.ABR,
-		AutoTune:  cfg.AutoTune,
-		Workers:   cfg.Workers,
-		OCA:       oca.Config{Disabled: true}, // analytics are scatter/gather, not per-shard engines
-		Recover:   cfg.Recover,
-		Shed:      cfg.Shed,
-	}
+	pcfg := cfg.pipelineConfig()
+	pcfg.OCA = oca.Config{Disabled: true} // analytics are scatter/gather, not per-shard engines
 	s := &System{cfg: cfg}
 	s.router = shard.New(shard.Config{
 		Shards:   cfg.Shards,

@@ -4,13 +4,17 @@
 //
 // A streaming graph system ingests batches of edge updates and runs
 // analytics on each new snapshot. This library's contribution — the
-// paper's — is that both phases are optimized *adaptively, from the
-// input itself*:
+// paper's — is that both phases are optimized *from the input itself*:
 //
-//   - Adaptive Batch Reordering (ABR) measures each sampled batch's
-//     degree distribution (the CAD_λ metric) and reorders only the
-//     batches whose high-degree vertices would otherwise serialize on
-//     per-vertex locks.
+//   - Batch reordering (RO) clusters a batch's edges per vertex so one
+//     thread applies all of a vertex's updates without locks. The
+//     reordering sort here is a linear radix partition, cheap enough
+//     that the default policy reorders every batch and measures each
+//     one's degree distribution (the CAD_λ metric) on the way.
+//     Adaptive Batch Reordering (ABR, Policy Adaptive) is the paper's
+//     alternative for a comparison sort: it samples CAD_λ and reorders
+//     only the batches whose high-degree vertices would otherwise
+//     serialize on per-vertex locks.
 //   - Update Search Coalescing (USC) turns a reordered vertex's many
 //     duplicate-check searches into one scan plus a hash table.
 //   - Overlap-based Compute Aggregation (OCA) merges the computation
@@ -114,13 +118,16 @@ func NewObserver(traceCapacity int) *Observer {
 type Policy int
 
 const (
-	// Adaptive is the paper's input-aware software mode: ABR decides
-	// per batch whether to reorder, and reordered batches use USC.
-	Adaptive Policy = iota
+	// AlwaysReorder, the default, reorders every batch and applies it
+	// with RO+USC, profiling each batch's input (CAD_λ, run shape) from
+	// the sorted view it already built.
+	AlwaysReorder Policy = iota
+	// Adaptive is the paper's input-aware software mode: ABR samples
+	// CAD_λ every ABR.N batches and reorders (with USC) only when it
+	// reaches ABR.TH.
+	Adaptive
 	// NeverReorder is the locked edge-parallel baseline.
 	NeverReorder
-	// AlwaysReorder applies input-oblivious reordering plus USC.
-	AlwaysReorder
 )
 
 // Analytics selects the streaming computation.
@@ -142,8 +149,8 @@ const (
 	AnalyticsCC
 )
 
-// Config configures a System. The zero value is usable: an adaptive
-// update-only system that grows from an empty graph.
+// Config configures a System. The zero value is usable: an update-only
+// system that reorders every batch and grows from an empty graph.
 type Config struct {
 	// Vertices pre-sizes the vertex space (the store grows on demand).
 	Vertices int
@@ -159,10 +166,11 @@ type Config struct {
 	Shards int
 	// Workers is the goroutine count; 0 means GOMAXPROCS.
 	Workers int
-	// Policy is the update strategy (default Adaptive).
+	// Policy is the update strategy (default AlwaysReorder).
 	Policy Policy
 	// ABR overrides the adaptive parameters; zero value means the
-	// paper's n=10, λ=256, TH=465.
+	// paper's n=10, λ=256, TH=465. Every policy measures CAD_λ with
+	// its λ; N and TH only matter under Adaptive.
 	ABR ABRParams
 	// Analytics selects the maintained computation.
 	Analytics Analytics
@@ -171,10 +179,6 @@ type Config struct {
 	// DisableOCA turns off compute aggregation, for latency-critical
 	// applications that cannot trade computation granularity.
 	DisableOCA bool
-	// AutoTune enables online feedback tuning of the ABR threshold
-	// (Adaptive policy only): TH adjusts from observed per-edge
-	// update costs instead of staying at the offline-fitted constant.
-	AutoTune bool
 	// ConcurrentCompute overlaps each computation round with the next
 	// batch's update, running analytics on an immutable flat snapshot
 	// (Aspen-style latency hiding). Round durations land in a later
@@ -219,7 +223,8 @@ type Result struct {
 	// BatchID is the sequence number assigned to the batch.
 	BatchID int
 	// Reordered reports whether the batch ran in the reordered mode;
-	// Instrumented whether ABR measured it (ABR-active).
+	// Instrumented whether its input was measured: every reordered
+	// batch by default, the ABR-active ones under Adaptive.
 	Reordered    bool
 	Instrumented bool
 	// CAD is the measured CAD_λ on instrumented batches.
@@ -308,6 +313,27 @@ func (s *System) engine() compute.Engine {
 	return nil
 }
 
+// pipelineConfig is the part of a pipeline configuration that every
+// pipeline of a system shares, the one of New and each shard of a
+// sharded system alike: above all the facade's policy, mapped onto the
+// pipeline's here and nowhere else.
+func (cfg Config) pipelineConfig() pipeline.Config {
+	pol := pipeline.AlwaysROUSC
+	switch cfg.Policy {
+	case Adaptive:
+		pol = pipeline.ABRUSC
+	case NeverReorder:
+		pol = pipeline.Baseline
+	}
+	return pipeline.Config{
+		Policy:    pol,
+		ABRParams: cfg.ABR,
+		Workers:   cfg.Workers,
+		Shed:      cfg.Shed,
+		Recover:   cfg.Recover,
+	}
+}
+
 func newSystem(cfg Config, store *graph.AdjacencyStore) *System {
 	s := &System{cfg: cfg}
 
@@ -325,16 +351,6 @@ func newSystem(cfg Config, store *graph.AdjacencyStore) *System {
 	case AnalyticsCC:
 		s.cc = &compute.CC{Incremental: true, Workers: cfg.Workers}
 		engine = s.cc
-	}
-
-	var pol pipeline.Policy
-	switch cfg.Policy {
-	case NeverReorder:
-		pol = pipeline.Baseline
-	case AlwaysReorder:
-		pol = pipeline.AlwaysROUSC
-	default:
-		pol = pipeline.ABRUSC
 	}
 
 	if cfg.ShadowStore != "" {
@@ -361,20 +377,13 @@ func newSystem(cfg Config, store *graph.AdjacencyStore) *System {
 		}
 	}
 
-	pcfg := pipeline.Config{
-		Policy:            pol,
-		ABRParams:         cfg.ABR,
-		AutoTune:          cfg.AutoTune,
-		Workers:           cfg.Workers,
-		Compute:           engine,
-		ConcurrentCompute: cfg.ConcurrentCompute,
-		OCA:               oca.Config{Disabled: cfg.DisableOCA || engine == nil},
-		Obs:               cfg.Observer,
-		Fault:             cfg.Fault,
-		Shed:              cfg.Shed,
-		Recover:           cfg.Recover,
-		Shadow:            s.shadow,
-	}
+	pcfg := cfg.pipelineConfig()
+	pcfg.Compute = engine
+	pcfg.ConcurrentCompute = cfg.ConcurrentCompute
+	pcfg.OCA = oca.Config{Disabled: cfg.DisableOCA || engine == nil}
+	pcfg.Obs = cfg.Observer
+	pcfg.Fault = cfg.Fault
+	pcfg.Shadow = s.shadow
 	if cfg.LockFree {
 		pcfg.Epoch = true
 		verts := cfg.Vertices
@@ -422,16 +431,6 @@ func (s *System) MetricsSnapshot() RunMetrics {
 		return s.router.MetricsSnapshot()
 	}
 	return s.runner.MetricsSnapshot()
-}
-
-// TunedABR returns the ABR parameters currently in effect (they move
-// when Config.AutoTune is enabled). Sharded systems tune per shard;
-// this reports the configured parameters.
-func (s *System) TunedABR() ABRParams {
-	if s.router != nil {
-		return s.cfg.ABR
-	}
-	return s.runner.TunedParams()
 }
 
 // WriteSnapshot serializes the current graph for later restoration

@@ -131,10 +131,30 @@ func TestPoliciesAgree(t *testing.T) {
 	}
 }
 
+// TestDefaultPolicyReordersEveryBatch: a zero Config reorders and
+// profiles batches whose CAD_λ is 0 — no vertex above λ, the batches
+// the paper's ABR leaves on the locked baseline — and a sharded system
+// picks the same default as a single pipeline.
+func TestDefaultPolicyReordersEveryBatch(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		sys := New(Config{Shards: shards})
+		for i := 0; i < 3; i++ {
+			res, err := sys.ApplyBatch(randomEdges(int64(i), 2000, 50000))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Reordered || !res.Instrumented || res.CAD != 0 || res.Locks != 0 {
+				t.Fatalf("shards=%d batch %d: reordered=%v instrumented=%v cad=%v locks=%d, want a lock-free reordered batch measured at CAD 0",
+					shards, i, res.Reordered, res.Instrumented, res.CAD, res.Locks)
+			}
+		}
+	}
+}
+
 // TestABRTurnsOffOnAdverseStream: scattered batches make the adaptive
 // system stop reordering after the first instrumented batch.
 func TestABRTurnsOffOnAdverseStream(t *testing.T) {
-	sys := New(Config{Vertices: 50000, Workers: 2})
+	sys := New(Config{Vertices: 50000, Workers: 2, Policy: Adaptive})
 	for i := 0; i < 3; i++ {
 		res, err := sys.ApplyBatch(randomEdges(int64(i), 2000, 50000))
 		if err != nil {
@@ -155,7 +175,7 @@ func TestOCAAggregatesViaFacade(t *testing.T) {
 	// Locality is measured on ABR-active batches (every n-th); use a
 	// short period so the second measurement lands early.
 	sys := New(Config{Vertices: 300, Workers: 2, Analytics: AnalyticsPageRank,
-		ABR: ABRParams{N: 2, Lambda: 256, TH: 465}})
+		Policy: Adaptive, ABR: ABRParams{N: 2, Lambda: 256, TH: 465}})
 	mk := func(seed int64) []Edge { return randomEdges(seed, 2000, 300) }
 	sawAggregated := false
 	for i := 0; i < 6; i++ {
@@ -249,15 +269,15 @@ func TestConcurrentComputeFacade(t *testing.T) {
 	}
 }
 
-// TestKitchenSink drives every adaptive feature at once — ABR with
-// AutoTune, OCA, concurrent compute — over a real profile stream and
-// checks the graph and analytics stay consistent.
+// TestKitchenSink drives every adaptive feature at once — ABR, OCA,
+// concurrent compute — over a real profile stream and checks the graph
+// and analytics stay consistent.
 func TestKitchenSink(t *testing.T) {
 	sys := New(Config{
 		Vertices:          5000,
 		Workers:           2,
 		Analytics:         AnalyticsPageRank,
-		AutoTune:          true,
+		Policy:            Adaptive,
 		ConcurrentCompute: true,
 		ABR:               ABRParams{N: 2, Lambda: 256, TH: 465},
 	})
