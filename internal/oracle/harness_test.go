@@ -101,7 +101,7 @@ func TestDifferentialSuperuserDeletes(t *testing.T) {
 	for i := range batches {
 		batches[i] = s.NextBatch(1000)
 	}
-	sharded, _ := ShardedTarget("sharded/n=2", 2, p.Vertices, 2, shard.Policy{Disabled: true})
+	sharded, _ := ShardedTarget("sharded/n=2", pipeline.AlwaysROUSC, 2, p.Vertices, 2, shard.Policy{Disabled: true})
 	err = RunStream(batches, []*Target{
 		MutableTarget("mutable/adjlist", graph.NewAdjacencyStore(p.Vertices)),
 		EngineTarget("ro+usc/adjlist", &update.Reordered{Cfg: update.Config{Workers: 2}, USC: true}, p.Vertices),

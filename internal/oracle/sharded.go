@@ -6,22 +6,23 @@ import (
 	"streamgraph/internal/shard"
 )
 
-// ShardedTarget runs batches through an N-shard router: consistent-hash
-// partitioning, cross-shard edge mirroring, concurrent fan-out, and —
-// unless pol disables it — dynamic repartitioning mid-stream. The
-// merged view must match the sequential reference exactly, migrations
-// included. The router is returned so tests can assert on migration
-// counts and audits.
+// ShardedTarget runs batches through an N-shard router whose shards
+// run the given update policy: consistent-hash partitioning,
+// cross-shard edge mirroring, concurrent fan-out, and — unless repart
+// disables it — dynamic repartitioning mid-stream. The merged view
+// must match the sequential reference exactly, migrations included.
+// The router is returned so tests can assert on migration counts and
+// audits.
 //
 // latest_bid equivalence is checked only on migration-free
 // configurations: a migration rebuilds stores through the snapshot
 // format, which does not carry the field.
-func ShardedTarget(name string, shards, numVerts, workers int, pol shard.Policy) (*Target, *shard.Router) {
+func ShardedTarget(name string, policy pipeline.Policy, shards, numVerts, workers int, repart shard.Policy) (*Target, *shard.Router) {
 	r := shard.New(shard.Config{
 		Shards:      shards,
 		Vertices:    numVerts,
-		Pipeline:    pipeline.Config{Policy: pipeline.ABRUSC, Workers: workers},
-		Repartition: pol,
+		Pipeline:    pipeline.Config{Policy: policy, Workers: workers},
+		Repartition: repart,
 	})
 	t := &Target{
 		Name: name,
@@ -37,7 +38,7 @@ func ShardedTarget(name string, shards, numVerts, workers int, pol shard.Policy)
 			}
 		},
 	}
-	if pol.Disabled {
+	if repart.Disabled {
 		t.Bids = func() BIDReader { return r.View() }
 	}
 	return t, r

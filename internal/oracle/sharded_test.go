@@ -2,7 +2,6 @@ package oracle
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"testing"
@@ -57,8 +56,10 @@ func hubStream(verts, batchSize, batches int) []*graph.Batch {
 // point: SHARDS=<1|2|4> selects one shard count (unset runs all
 // three), and each count runs with the repartitioner off and — for
 // N >= 2 — on, with an aggressive policy that must trigger at least
-// one mid-stream migration. Every configuration's merged state and
-// analytics must match the sequential reference.
+// one mid-stream migration. Every configuration runs under both shard
+// update policies: ABR+USC and the facade's default RO+USC. Its merged
+// state, and the incremental engines run over it, must match the
+// sequential reference.
 func TestShardMatrixDifferential(t *testing.T) {
 	counts := []int{1, 2, 4}
 	if env := os.Getenv("SHARDS"); env != "" {
@@ -68,6 +69,7 @@ func TestShardMatrixDifferential(t *testing.T) {
 		}
 		counts = []int{n}
 	}
+	policies := []pipeline.Policy{pipeline.ABRUSC, pipeline.AlwaysROUSC}
 	const verts = 192
 	for _, n := range counts {
 		n := n
@@ -79,186 +81,50 @@ func TestShardMatrixDifferential(t *testing.T) {
 			t.Run(fmt.Sprintf("N=%d,repart=%v", n, repart), func(t *testing.T) {
 				t.Parallel()
 				if repart {
-					stream := hubStream(verts, 60, 12)
-					target, router := ShardedTarget(
-						fmt.Sprintf("sharded/n=%d+repart", n), n, verts, 2, aggressiveRepartition())
-					err := RunStream(stream, []*Target{
-						MutableTarget("mutable/adjlist", graph.NewAdjacencyStore(verts)),
-						target,
-					}, Options{
-						Context:  fmt.Sprintf("hubStream(%d, 60, 12), shards=%d, aggressive repartition", verts, n),
-						Computes: DefaultComputes(0),
-					})
-					if err != nil {
-						t.Fatal(err)
+					for _, pol := range policies {
+						stream := hubStream(verts, 60, 12)
+						target, router := ShardedTarget(
+							fmt.Sprintf("sharded/n=%d+repart/%s", n, pol), pol, n, verts, 2, aggressiveRepartition())
+						err := RunStream(stream, []*Target{
+							MutableTarget("mutable/adjlist", graph.NewAdjacencyStore(verts)),
+							target,
+						}, Options{
+							Context:  fmt.Sprintf("hubStream(%d, 60, 12), shards=%d, policy %s, aggressive repartition", verts, n, pol),
+							Computes: DefaultComputes(0),
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if router.Repartitions() == 0 {
+							t.Fatalf("policy %s: skew-drifting stream triggered no migration; audits: %+v", pol, router.Audits())
+						}
 					}
-					if router.Repartitions() == 0 {
-						t.Fatalf("skew-drifting stream triggered no migration; audits: %+v", router.Audits())
-					}
-					checkDrivers(t, router, verts)
 					return
 				}
 				for _, kind := range gen.AdvKinds() {
 					kind := kind
 					t.Run(kind.String(), func(t *testing.T) {
 						t.Parallel()
-						spec := gen.AdvSpec{Kind: kind, Seed: 3, Vertices: verts, BatchSize: 80, Batches: 6}
-						target, router := ShardedTarget(
-							fmt.Sprintf("sharded/n=%d", n), n, verts, 2, shard.Policy{Disabled: true})
-						err := RunStream(spec.Generate(), []*Target{
-							MutableTarget("mutable/adjlist", graph.NewAdjacencyStore(verts)),
-							target,
-						}, Options{
-							Context:  spec.String() + fmt.Sprintf(" // shards=%d", n),
-							Computes: DefaultComputes(0),
-						})
-						if err != nil {
-							t.Fatal(err)
+						for _, pol := range policies {
+							spec := gen.AdvSpec{Kind: kind, Seed: 3, Vertices: verts, BatchSize: 80, Batches: 6}
+							target, _ := ShardedTarget(
+								fmt.Sprintf("sharded/n=%d/%s", n, pol), pol, n, verts, 2, shard.Policy{Disabled: true})
+							err := RunStream(spec.Generate(), []*Target{
+								MutableTarget("mutable/adjlist", graph.NewAdjacencyStore(verts)),
+								target,
+							}, Options{
+								Context:  spec.String() + fmt.Sprintf(" // shards=%d, policy %s", n, pol),
+								Computes: DefaultComputes(0),
+							})
+							if err != nil {
+								t.Fatal(err)
+							}
 						}
-						checkDrivers(t, router, verts)
 					})
 				}
 			})
 		}
 	}
-}
-
-// checkDrivers compares the router's scatter/gather analytics drivers
-// against the merged view itself: BFS/SSSP/CC exactly, PageRank within
-// summation-order tolerance. The view already equals the sequential
-// reference (RunStream checked that), so this closes the loop from
-// "per-shard state is right" to "merged per-shard answers are right".
-func checkDrivers(t *testing.T, router *shard.Router, verts int) {
-	t.Helper()
-	view := router.View()
-
-	levels := router.BFSLevels(0)
-	wantLevels := bfsOver(view, 0)
-	for v := 0; v < verts; v++ {
-		if levels[v] != wantLevels[v] {
-			t.Fatalf("driver BFS level(%d) = %d, sequential %d", v, levels[v], wantLevels[v])
-		}
-	}
-
-	dist := router.SSSPDistances(0)
-	wantDist := ssspOver(view, 0)
-	for v := 0; v < verts; v++ {
-		if dist[v] != wantDist[v] {
-			t.Fatalf("driver SSSP dist(%d) = %v, sequential %v", v, dist[v], wantDist[v])
-		}
-	}
-
-	labels := router.CCLabels()
-	wantLabels := ccOver(view)
-	for v := 0; v < verts; v++ {
-		if labels[v] != wantLabels[v] {
-			t.Fatalf("driver CC label(%d) = %d, sequential %d", v, labels[v], wantLabels[v])
-		}
-	}
-
-	ranks := router.PageRanks(0.85, 8, 1e-300)
-	wantRanks := pageRankOver(view, 0.85, 8)
-	for v := 0; v < verts; v++ {
-		if d := math.Abs(ranks[v] - wantRanks[v]); d > 1e-9 {
-			t.Fatalf("driver PageRank(%d) = %v, sequential %v (|Δ|=%g)", v, ranks[v], wantRanks[v], d)
-		}
-	}
-}
-
-// bfsOver/ssspOver/ccOver/pageRankOver are single-threaded reference
-// implementations over any Store, mirroring the engines' semantics.
-func bfsOver(s graph.Store, source graph.VertexID) []int32 {
-	n := s.NumVertices()
-	levels := make([]int32, n)
-	for i := range levels {
-		levels[i] = -1
-	}
-	levels[source] = 0
-	frontier := []graph.VertexID{source}
-	for depth := int32(1); len(frontier) > 0; depth++ {
-		var next []graph.VertexID
-		for _, v := range frontier {
-			s.ForEachOut(v, func(nb graph.Neighbor) {
-				if levels[nb.ID] == -1 {
-					levels[nb.ID] = depth
-					next = append(next, nb.ID)
-				}
-			})
-		}
-		frontier = next
-	}
-	return levels
-}
-
-func ssspOver(s graph.Store, source graph.VertexID) []float64 {
-	n := s.NumVertices()
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[source] = 0
-	for changed := true; changed; {
-		changed = false
-		for v := 0; v < n; v++ {
-			dv := dist[v]
-			if math.IsInf(dv, 1) {
-				continue
-			}
-			s.ForEachOut(graph.VertexID(v), func(nb graph.Neighbor) {
-				if nd := dv + float64(nb.Weight); nd < dist[nb.ID] {
-					dist[nb.ID] = nd
-					changed = true
-				}
-			})
-		}
-	}
-	return dist
-}
-
-func ccOver(s graph.Store) []graph.VertexID {
-	n := s.NumVertices()
-	labels := make([]graph.VertexID, n)
-	for i := range labels {
-		labels[i] = graph.VertexID(i)
-	}
-	for changed := true; changed; {
-		changed = false
-		for v := 0; v < n; v++ {
-			lv := labels[v]
-			spread := func(nb graph.Neighbor) {
-				if lv < labels[nb.ID] {
-					labels[nb.ID] = lv
-					changed = true
-				}
-			}
-			s.ForEachOut(graph.VertexID(v), spread)
-			s.ForEachIn(graph.VertexID(v), spread)
-		}
-	}
-	return labels
-}
-
-func pageRankOver(s graph.Store, damping float64, maxIter int) []float64 {
-	n := s.NumVertices()
-	base := (1 - damping) / float64(n)
-	ranks := make([]float64, n)
-	for i := range ranks {
-		ranks[i] = base
-	}
-	next := make([]float64, n)
-	for iter := 0; iter < maxIter; iter++ {
-		for v := 0; v < n; v++ {
-			sum := 0.0
-			s.ForEachIn(graph.VertexID(v), func(nb graph.Neighbor) {
-				if od := s.OutDegree(nb.ID); od > 0 {
-					sum += ranks[nb.ID] / float64(od)
-				}
-			})
-			next[v] = base + damping*sum
-		}
-		ranks, next = next, ranks
-	}
-	return ranks
 }
 
 // TestShardFaultDifferential is the router fault-differential: with a

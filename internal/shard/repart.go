@@ -328,8 +328,12 @@ func (r *Router) migrate(p *plan) error {
 		r.ring.Assign(sp.Lo, sp.Hi, p.to)
 	}
 
+	// Rebuild at the current vertex space: re-inserting edges would
+	// regrow it geometrically to a different size, and the analytics
+	// read the vertex count (PageRank's 1/N).
+	verts := max(snapA.NumVertices(), snapB.NumVertices())
 	for _, side := range [2]int{p.from, p.to} {
-		st := graph.NewAdjacencyStore(r.cfg.Vertices)
+		st := graph.NewAdjacencyStore(verts)
 		for _, snap := range []*graph.AdjacencyStore{snapA, snapB} {
 			seedShard(st, snap, r.ring, side)
 		}

@@ -3,8 +3,9 @@
 // users". Vertices are assigned to shards by consistent hashing, and
 // every edge is routed to the owner of *both* endpoints (mirrored once
 // when they share an owner), so each shard's adjacency of its owned
-// vertices is locally complete: per-vertex reads, scatter/gather
-// analytics and snapshotting never need a remote lookup.
+// vertices is locally complete: per-vertex reads through the merged
+// View — which the analytics engine runs over — and snapshotting never
+// need a remote lookup.
 //
 // A Router in front of the per-shard pipelines splits each incoming
 // batch into per-shard sub-batches (preserving relative edge order and

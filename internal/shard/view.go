@@ -4,9 +4,10 @@ import "streamgraph/internal/graph"
 
 // View is the merged read-only graph over all shards, implementing
 // graph.Store by routing every per-vertex read to the vertex's owner —
-// whose adjacency is complete under the mirroring rule. It powers the
-// server's /neighbors and snapshot endpoints, the scatter/gather
-// drivers' sizing, and the sharded oracle target's state checks.
+// whose adjacency is complete under the mirroring rule. The facade's
+// analytics engine runs over it after every batch, and it serves the
+// server's /neighbors and snapshot endpoints and the sharded oracle
+// target's state checks.
 //
 // The view is live: reads follow the sequential execution contract
 // (between batches), like every non-epoch store in this repository.

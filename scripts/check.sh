@@ -123,8 +123,10 @@ echo "== shard oracle =="
 # Sharded differential quick tier: every adversarial stream family
 # through 2 shards (mirrored cross-shard edges) plus the skew-driven
 # mid-stream repartition run, verified edge-for-edge against the
-# sequential reference. CI's shard-matrix job runs N=1/2/4.
-SHARDS=2 go test -race -count=1 -run '^TestShardMatrixDifferential$' ./internal/oracle
+# sequential reference; then the facade's sharded analytics against
+# one node's. CI's shard-matrix job runs N=1/2/4.
+SHARDS=2 go test -race -count=1 -run '^TestShardMatrixDifferential$' ./internal/oracle &&
+    SHARDS=2 go test -race -count=1 -run '^(TestShardedAnalyticsMatchSingleNode|TestPageRankShardsAgree)$' .
 record "shard oracle" $? 24
 
 echo "== benchmark self-test =="

@@ -234,6 +234,34 @@ func TestSnapshotRestore(t *testing.T) {
 	if !restored.Graph().HasEdge(1, 2) {
 		t.Fatal("post-restore batch lost")
 	}
+
+	// A sharded restore refreshes the same engine over the merged view:
+	// with one worker its ranks equal a single node's bit for bit.
+	buf.Reset()
+	if err := sys.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap := buf.Bytes()
+	ranks := make([][]float64, 2)
+	for i, shards := range []int{1, 2} {
+		r, err := NewFromSnapshot(Config{Workers: 1, Shards: shards, Analytics: AnalyticsPageRank, DisableOCA: true},
+			bytes.NewReader(snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.NumEdges() != sys.NumEdges() {
+			t.Fatalf("Shards %d: restored %d edges, want %d", shards, r.NumEdges(), sys.NumEdges())
+		}
+		ranks[i] = r.Ranks()
+	}
+	if len(ranks[0]) == 0 || len(ranks[0]) != len(ranks[1]) {
+		t.Fatalf("restored rank vectors have lengths %d and %d", len(ranks[0]), len(ranks[1]))
+	}
+	for v := range ranks[0] {
+		if math.Float64bits(ranks[0][v]) != math.Float64bits(ranks[1][v]) {
+			t.Fatalf("vertex %d: sharded restore ranks %v, single node %v", v, ranks[1][v], ranks[0][v])
+		}
+	}
 }
 
 func TestBFSAndCCFacade(t *testing.T) {
